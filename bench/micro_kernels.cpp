@@ -3,12 +3,14 @@
 // preprocessing (ArcIndex), generators, Nussinov folding, and load
 // balancing.
 //
-// `--smoke` switches to the dense-kernel perf gate instead: time the
-// event-run kernel and the per-cell reference on the Table I worst-case
-// pair, verify they produce identical grids and counters, and fail when
+// `--smoke` switches to the dense-kernel perf gate instead: time the dense
+// kernel and the per-cell reference on the Table I worst-case pair, verify
+// they produce identical grids and counters, and fail when the kernel's
 // ns/cell regresses more than --max-regression over the recorded baseline
 // (bench/baselines/micro_kernels_smoke.json, refreshed with
-// --update-baseline). CTest runs this as bench_smoke_micro_kernels.
+// --update-baseline) or when it beats the reference measured in the same
+// run by less than --min-kernel-speedup. CTest runs this as
+// bench_smoke_micro_kernels.
 #include <benchmark/benchmark.h>
 
 #include <fstream>
@@ -34,65 +36,27 @@ namespace {
 // kernels with capturing lambdas (memo-table lookups), so the d2 call always
 // inlines in production. A function reference here de-inlines into an
 // indirect call per event as soon as the instantiation is shared by a second
-// call site — that artifact once slowed every timed variant by ~0.3 ns/cell
-// and compressed the variant-vs-variant ratios the gate enforces.
+// call site — that artifact once slowed every timed kernel by ~0.3 ns/cell
+// and compressed the kernel-vs-reference ratio the gate enforces.
 constexpr auto zero_d2 = [](Pos, Pos, Pos, Pos) { return Score{0}; };
-
-// A SliceKernel bound to local scratch, as the solvers get from Workspace.
-struct LocalKernel {
-  KernelScratch scratch;
-  FourRussiansTable table;
-
-  SliceKernel bind(KernelVariant variant) {
-    SliceKernel kernel;
-    kernel.variant = resolve_kernel_variant(variant);
-    kernel.scratch = &scratch;
-    if (kernel.variant == KernelVariant::kFourRussians) {
-      table.build();
-      kernel.table = &table;
-    }
-    return kernel;
-  }
-};
 
 void BM_DenseSliceKernel(benchmark::State& state) {
   const auto length = static_cast<Pos>(state.range(0));
   const auto s = worst_case_structure(length);
   ColumnEvents events;
   events.build(s);
+  KernelScratch kernel_scratch;
   Matrix<Score> scratch;
   const SliceBounds bounds{0, length - 1, 0, length - 1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tabulate_slice_dense(s, s, events, bounds, scratch, zero_d2));
+    benchmark::DoNotOptimize(tabulate_slice_dense(s, s, events, bounds, scratch,
+                                                  SliceKernel{&kernel_scratch}, zero_d2));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(length) * length);
 }
 BENCHMARK(BM_DenseSliceKernel)->Arg(64)->Arg(256)->Arg(1024);
 
-// One row per batched kernel variant, against the same worst-case slice.
-void BM_DenseSliceKernelVariant(benchmark::State& state) {
-  const auto length = static_cast<Pos>(state.range(0));
-  const auto variant = static_cast<KernelVariant>(state.range(1));
-  const auto s = worst_case_structure(length);
-  ColumnEvents events;
-  events.build(s);
-  LocalKernel local;
-  const SliceKernel kernel = local.bind(variant);
-  Matrix<Score> scratch;
-  const SliceBounds bounds{0, length - 1, 0, length - 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tabulate_slice_dense(s, s, events, bounds, scratch, kernel, zero_d2));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(length) * length);
-  state.SetLabel(kernel_variant_name(variant));
-}
-BENCHMARK(BM_DenseSliceKernelVariant)
-    ->ArgsProduct({{64, 256, 1024},
-                   {static_cast<long>(KernelVariant::kSimd),
-                    static_cast<long>(KernelVariant::kFourRussians)}});
-
-// The per-cell loop the event-run kernel replaced, kept as the yardstick:
+// The per-cell loop the dense kernel replaced, kept as the yardstick:
 // BM_DenseSliceKernel / BM_DenseSliceKernelReference is the kernel speedup.
 void BM_DenseSliceKernelReference(benchmark::State& state) {
   const auto length = static_cast<Pos>(state.range(0));
@@ -186,9 +150,9 @@ void BM_LoadBalanceLpt(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadBalanceLpt)->Arg(1000)->Arg(100000);
 
-// --smoke: the perf-regression gate, one timed row per dense kernel
-// variant. Exit codes: 0 pass, 1 regression / lost kernel speedup / I/O
-// failure, 2 kernel mismatch (correctness, not perf).
+// --smoke: the perf-regression gate on the dense kernel. Exit codes: 0
+// pass, 1 regression / lost kernel speedup / I/O failure, 2 kernel mismatch
+// (correctness, not perf).
 int run_smoke(int argc, char** argv) {
   CliParser cli("micro_kernels", "dense-kernel perf gate (--smoke mode)");
   cli.add_flag("smoke", "run the perf gate instead of the google-benchmark suite");
@@ -197,9 +161,9 @@ int run_smoke(int argc, char** argv) {
   cli.add_option("baseline", "recorded baseline JSON to gate against (empty = no gate)", "");
   cli.add_option("max-regression", "fail when ns/cell exceeds baseline by this factor", "1.25");
   cli.add_option("min-kernel-speedup",
-                 "fail unless the best batched variant beats event-run by this factor "
+                 "fail unless the kernel beats the per-cell reference by this factor "
                  "in the same run (0 disables; ignored under SRNA_DISABLE_SIMD builds)",
-                 "1.5");
+                 "3.9");
   cli.add_flag("update-baseline", "rewrite --baseline with this run's numbers");
   cli.add_option("output", "measured-numbers JSON (empty = BENCH_micro_kernels_smoke.json; "
                  "none = skip)", "");
@@ -210,77 +174,59 @@ int run_smoke(int argc, char** argv) {
   const SliceBounds bounds{0, n - 1, 0, n - 1};
   ColumnEvents events;
   events.build(s);
-  LocalKernel local;
+  KernelScratch kernel_scratch;
+  const SliceKernel kernel{&kernel_scratch};
   Matrix<Score> grid, ref_grid;
 
-  // Correctness pin before timing anything: every variant must produce the
+  // Correctness pin before timing anything: the kernel must produce the
   // identical grid and identical accounting. A fast-but-wrong kernel must
   // not pass the perf gate.
   McosStats ref_stats;
+  McosStats stats;
   fill_slice_dense_reference(s, s, bounds, ref_grid, zero_d2, &ref_stats);
-  struct Row {
-    KernelVariant variant;
-    const char* key;
-    double ns = 0;
-  };
-  Row rows[] = {{KernelVariant::kEventRun, "event_run_ns_per_cell"},
-                {KernelVariant::kSimd, "simd_ns_per_cell"},
-                {KernelVariant::kFourRussians, "four_russians_ns_per_cell"}};
-  for (const Row& row : rows) {
-    const SliceKernel kernel = local.bind(row.variant);
-    McosStats stats;
-    fill_slice_dense(s, s, events, bounds, grid, kernel, zero_d2, &stats);
-    for (std::size_t r = 0; r < ref_grid.rows(); ++r)
-      for (std::size_t c = 0; c < ref_grid.cols(); ++c)
-        if (grid(r, c) != ref_grid(r, c)) {
-          std::cerr << "kernel mismatch at (" << r << ", " << c << "): "
-                    << kernel_variant_name(row.variant) << " " << grid(r, c)
-                    << " vs reference " << ref_grid(r, c) << "\n";
-          return 2;
-        }
-    if (stats.cells_tabulated != ref_stats.cells_tabulated ||
-        stats.arc_match_events != ref_stats.arc_match_events) {
-      std::cerr << "kernel accounting mismatch (" << kernel_variant_name(row.variant)
-                << "): cells " << stats.cells_tabulated << " vs "
-                << ref_stats.cells_tabulated << ", arc events " << stats.arc_match_events
-                << " vs " << ref_stats.arc_match_events << "\n";
-      return 2;
-    }
+  fill_slice_dense(s, s, events, bounds, grid, kernel, zero_d2, &stats);
+  for (std::size_t r = 0; r < ref_grid.rows(); ++r)
+    for (std::size_t c = 0; c < ref_grid.cols(); ++c)
+      if (grid(r, c) != ref_grid(r, c)) {
+        std::cerr << "kernel mismatch at (" << r << ", " << c << "): " << grid(r, c)
+                  << " vs reference " << ref_grid(r, c) << "\n";
+        return 2;
+      }
+  if (stats.cells_tabulated != ref_stats.cells_tabulated ||
+      stats.arc_match_events != ref_stats.arc_match_events) {
+    std::cerr << "kernel accounting mismatch: cells " << stats.cells_tabulated << " vs "
+              << ref_stats.cells_tabulated << ", arc events " << stats.arc_match_events
+              << " vs " << ref_stats.arc_match_events << "\n";
+    return 2;
   }
 
   const auto reps = static_cast<int>(cli.integer("reps"));
   const double cells = static_cast<double>(n) * static_cast<double>(n);
   std::cout << "dense slice kernel, worst-case L=" << n << " (" << cells
             << " cells, best of " << reps << ")\n";
-  // Timing rounds are interleaved — one fill per variant per rep, best-of
-  // across rounds — so a mid-run frequency shift hits every variant alike
-  // and the variant-vs-variant ratios (what --min-kernel-speedup gates)
-  // stay meaningful even on noisy machines.
+  // Timing rounds are interleaved — one kernel fill and one reference fill
+  // per rep, best-of across rounds — so a mid-run frequency shift hits both
+  // alike and the kernel-vs-reference ratio (what --min-kernel-speedup
+  // gates) stays meaningful even on noisy machines. Each timed kernel fill
+  // follows an untimed one into the same grid, the cache state the
+  // committed baseline was recorded in (there the kernel ran right after
+  // another kernel's fill of this grid).
+  double kernel_s = 0;
   double reference_s = 0;
   for (int rep = 0; rep < reps; ++rep) {
-    for (Row& row : rows) {
-      const SliceKernel kernel = local.bind(row.variant);
-      const double seconds = bench::time_best_of(
-          1, [&] { fill_slice_dense(s, s, events, bounds, grid, kernel, zero_d2); });
-      const double ns = seconds * 1e9 / cells;
-      if (rep == 0 || ns < row.ns) row.ns = ns;
-    }
+    fill_slice_dense(s, s, events, bounds, grid, kernel, zero_d2);
+    const double kernel_rep = bench::time_best_of(
+        1, [&] { fill_slice_dense(s, s, events, bounds, grid, kernel, zero_d2); });
+    if (rep == 0 || kernel_rep < kernel_s) kernel_s = kernel_rep;
     const double ref_rep = bench::time_best_of(
         1, [&] { fill_slice_dense_reference(s, s, bounds, ref_grid, zero_d2); });
     if (rep == 0 || ref_rep < reference_s) reference_s = ref_rep;
   }
-  for (const Row& row : rows)
-    std::cout << "  " << kernel_variant_name(row.variant) << ": " << row.ns
-              << " ns/cell\n";
-  const double event_ns = rows[0].ns;
+  const double kernel_ns = kernel_s * 1e9 / cells;
   const double reference_ns = reference_s * 1e9 / cells;
-  const Row* best = &rows[0];
-  for (const Row& row : rows)
-    if (row.ns < best->ns) best = &row;
-  std::cout << "  reference: " << reference_ns << " ns/cell\n  best: "
-            << kernel_variant_name(best->variant) << " ("
-            << reference_ns / best->ns << "x vs reference, " << event_ns / best->ns
-            << "x vs event-run)\n";
+  const double speedup = reference_ns / kernel_ns;
+  std::cout << "  kernel: " << kernel_ns << " ns/cell\n  reference: " << reference_ns
+            << " ns/cell\n  speedup: " << speedup << "x vs reference\n";
 
   int exit_code = 0;
   const std::string baseline_path = cli.str("baseline");
@@ -289,41 +235,36 @@ int run_smoke(int argc, char** argv) {
     std::stringstream text;
     text << in.rdbuf();
     const auto baseline = in ? obs::Json::parse(text.str()) : std::nullopt;
-    if (!baseline || baseline->find("event_run_ns_per_cell") == nullptr) {
+    const obs::Json* recorded =
+        baseline ? baseline->find("simd_ns_per_cell") : nullptr;
+    if (recorded == nullptr) {
       std::cerr << "cannot read baseline " << baseline_path << "\n";
       return 1;
     }
-    // Gate every variant the baseline has a recording for (older baselines
-    // only pin event-run).
-    for (const Row& row : rows) {
-      const obs::Json* recorded = baseline->find(row.key);
-      if (recorded == nullptr) continue;
-      const double budget = recorded->as_double() * cli.real("max-regression");
-      std::cout << "baseline " << kernel_variant_name(row.variant) << ": "
-                << recorded->as_double() << " ns/cell (gate: " << budget << ")\n";
-      if (row.ns > budget) {
-        std::cerr << "PERF REGRESSION: " << kernel_variant_name(row.variant) << " kernel "
-                  << row.ns << " ns/cell exceeds the gate " << budget << " (baseline "
-                  << recorded->as_double() << " * " << cli.real("max-regression") << ")\n";
-        exit_code = 1;
-      }
+    const double budget = recorded->as_double() * cli.real("max-regression");
+    std::cout << "baseline kernel: " << recorded->as_double() << " ns/cell (gate: " << budget
+              << ")\n";
+    if (kernel_ns > budget) {
+      std::cerr << "PERF REGRESSION: kernel " << kernel_ns << " ns/cell exceeds the gate "
+                << budget << " (baseline " << recorded->as_double() << " * "
+                << cli.real("max-regression") << ")\n";
+      exit_code = 1;
     }
   }
 
-  // The batched-kernel win itself is part of the gate: the best variant must
-  // beat the event-run kernel measured in the same run (machine-independent,
-  // unlike ns/cell). Scalar-fallback builds skip this — without SIMD the
-  // batched variants only have to hold even, which the ns/cell gates cover.
+  // The kernel's win itself is part of the gate: it must beat the per-cell
+  // reference measured in the same run (machine-independent, unlike
+  // ns/cell). Scalar-fallback builds skip this — without SIMD the kernel
+  // only has to hold its own, which the ns/cell gate covers.
   const double min_speedup = cli.real("min-kernel-speedup");
 #if defined(SRNA_DISABLE_SIMD)
   constexpr bool simd_build = false;
 #else
   constexpr bool simd_build = true;
 #endif
-  if (simd_build && min_speedup > 0 && event_ns / best->ns < min_speedup) {
-    std::cerr << "KERNEL SPEEDUP LOST: best variant ("
-              << kernel_variant_name(best->variant) << ") is only " << event_ns / best->ns
-              << "x vs event-run; the gate requires " << min_speedup << "x\n";
+  if (simd_build && min_speedup > 0 && speedup < min_speedup) {
+    std::cerr << "KERNEL SPEEDUP LOST: the kernel is only " << speedup
+              << "x vs the reference; the gate requires " << min_speedup << "x\n";
     exit_code = 1;
   }
 
@@ -332,12 +273,10 @@ int run_smoke(int argc, char** argv) {
   doc.set("structure", obs::Json("worst_case"));
   doc.set("length", obs::Json(static_cast<std::int64_t>(n)));
   doc.set("reps", obs::Json(static_cast<std::int64_t>(reps)));
-  for (const Row& row : rows) doc.set(row.key, obs::Json(row.ns));
+  // Keyed as the committed baseline records the kernel.
+  doc.set("simd_ns_per_cell", obs::Json(kernel_ns));
   doc.set("reference_ns_per_cell", obs::Json(reference_ns));
-  doc.set("best_kernel", obs::Json(kernel_variant_name(best->variant)));
-  doc.set("best_ns_per_cell", obs::Json(best->ns));
-  doc.set("best_vs_event_run", obs::Json(event_ns / best->ns));
-  doc.set("speedup", obs::Json(reference_ns / event_ns));
+  doc.set("speedup", obs::Json(speedup));
   if (!baseline_path.empty() && cli.flag("update-baseline")) {
     std::ofstream out(baseline_path);
     out << doc.dump(2) << "\n";

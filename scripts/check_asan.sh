@@ -19,10 +19,12 @@
 #                      workspaces reusable, cache keys own their canonical
 #                      forms, connection buffers stay in bounds.
 #
-# The tree is configured with -DSRNA_DISABLE_SIMD=ON: the scalar fallback is
-# the sanitized slice-kernel path by contract (intrinsics hide byte-level
-# accesses from the instrumentation), and the kernel-equivalence suite pins
-# the SIMD legs bit-identical to the scalar code this run vets.
+# The tree is configured with -DSRNA_DISABLE_SIMD=ON: the scalar
+# instantiation of the one dense slice kernel is the sanitized path by
+# contract (intrinsics hide byte-level accesses from the instrumentation).
+# Every dense caller — srna1/srna2/prna, checkpoint-resume, prna-mpi-sim,
+# traceback and enumeration — runs that kernel, and the kernel-equivalence
+# suite pins its SIMD legs bit-identical to the scalar code this run vets.
 #
 # Usage: scripts/check_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail

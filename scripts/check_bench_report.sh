@@ -55,11 +55,11 @@ SHARED_FRESH="$BUILD_DIR/BENCH_serving_shared_fresh.json"
 "$REPORT" --baseline="$BASELINE" --fresh="$FRESH" --threshold=0.25 \
   --noise-floor-ms=2 --output="$BUILD_DIR/bench_report_comparison.json"
 
-# Shared-structure workload (one S1, many S2): the batch window groups the
-# cache misses that share a structure, so the batching counters embedded in
-# the report (service.batched_solves / service.batch_groups) stay non-zero —
-# a fresh run that stops batching regresses its throughput past the slack.
-"$LOADGEN" --shared-structure --batch-window-ms=2 --requests=2000 --concurrency=8 \
+# Shared-structure workload (one structure A queried against many B's): the
+# pattern that leans on result-cache reuse and single-flight coalescing of
+# identical in-flight misses — a fresh run that loses either regresses its
+# throughput or latency past the slack.
+"$LOADGEN" --shared-structure --requests=2000 --concurrency=8 \
   --length=120 --structures=256 --output="$SHARED_FRESH"
 
 "$REPORT" --baseline="$SHARED_BASELINE" --fresh="$SHARED_FRESH" --threshold=0.25 \

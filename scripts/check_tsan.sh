@@ -35,8 +35,8 @@
 # (PrnaOptions::validate_memo in tests/parallel/prna_test.cpp).
 #
 # Configured with -DSRNA_DISABLE_SIMD=ON so worker threads run the scalar
-# slice-kernel fallback (pinned bit-identical to the SIMD legs by the
-# kernel-equivalence suite) under instrumentation.
+# instantiation of the one dense slice kernel (pinned bit-identical to the
+# SIMD legs by the kernel-equivalence suite) under instrumentation.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail

@@ -17,9 +17,10 @@
 #   * obs_tests      — counters, histograms, JSON numerics, the counter stub,
 #                      and the critical-path analyzer.
 #
-# Configured with -DSRNA_DISABLE_SIMD=ON so the scalar slice-kernel fallback
-# (pinned bit-identical to the SIMD legs by the kernel-equivalence suite) is
-# the path UBSan instruments.
+# Configured with -DSRNA_DISABLE_SIMD=ON so the scalar instantiation of the
+# one dense slice kernel — what every dense caller runs, pinned bit-identical
+# to the SIMD legs by the kernel-equivalence suite — is the path UBSan
+# instruments.
 #
 # Usage: scripts/check_ubsan.sh [build-dir]   (default: build-ubsan)
 set -euo pipefail

@@ -127,6 +127,8 @@ CheckpointedRun srna2_checkpointed(const SecondaryStructure& s1, const Secondary
   Matrix<Score> scratch;
   ColumnEvents col_events;
   col_events.build(s2);
+  KernelScratch kernel_scratch;
+  const SliceKernel kernel{&kernel_scratch};
   std::uint64_t rows_this_run = 0;
   std::uint64_t row = first_row;
   for (; row < run.rows_total; ++row) {
@@ -137,7 +139,7 @@ CheckpointedRun srna2_checkpointed(const SecondaryStructure& s1, const Secondary
       const Score value = tabulate_slice_dense(
           s1, s2, col_events,
           SliceBounds::under(arc1.left, arc1.right, arc2.left, arc2.right), scratch,
-          d2_lookup, &stats);
+          kernel, d2_lookup, &stats);
       memo.set(arc1.left + 1, arc2.left + 1, value);
     }
     ++rows_this_run;
@@ -170,7 +172,7 @@ CheckpointedRun srna2_checkpointed(const SecondaryStructure& s1, const Secondary
   run.result.value =
       tabulate_slice_dense(s1, s2, col_events,
                            SliceBounds{0, s1.length() - 1, 0, s2.length() - 1}, scratch,
-                           d2_lookup, &stats);
+                           kernel, d2_lookup, &stats);
   stats.stage2_seconds = phase.seconds();
   run.result.stats = stats;
   run.complete = true;

@@ -44,7 +44,7 @@ class Enumerator {
       return out;
     }
     Matrix<Score> grid;
-    fill_slice_dense(s1_, s2_, col_events_, bounds, grid,
+    fill_slice_dense(s1_, s2_, col_events_, bounds, grid, SliceKernel{&kernel_scratch_},
                      [&](Pos k1, Pos, Pos k2, Pos) { return memo_.get(k1 + 1, k2 + 1); });
 
     std::set<MatchSet, bool (*)(const MatchSet&, const MatchSet&)> dedup(set_less);
@@ -116,6 +116,9 @@ class Enumerator {
   const SecondaryStructure& s2_;
   const MemoTable& memo_;
   ColumnEvents col_events_;
+  // One scratch serves every fill: a fill finishes before collect_cell
+  // recurses into child slices.
+  KernelScratch kernel_scratch_;
   std::size_t limit_;
   bool truncated_ = false;
 };

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
-#include <string>
 
 namespace srna {
 
@@ -42,61 +41,8 @@ enum class SliceLayout : std::uint8_t { kDense, kCompressed };
 // bench/ablation_memoization).
 enum class MemoKind : std::uint8_t { kArray, kHashMap };
 
-// Which dense slice kernel evaluates the event rows (DESIGN.md §4.5).
-//
-// All variants are bit-identical to fill_slice_dense_reference (pinned by
-// tests/core/kernel_equivalence_test.cpp); they differ only in how the
-// run-max reduction and the per-event memo gather are scheduled:
-//
-//   kEventRun      the PR 4 kernel: one scalar max-chain cell per event plus
-//                  constant fills between events.
-//   kSimd          batched event evaluation: per-slice precomputed event
-//                  columns, a gather/candidate pass with no loop-carried
-//                  dependency, then a vectorized inclusive prefix-max scan
-//                  (AVX2 / SSE2 at compile time; a bit-identical scalar
-//                  instantiation of the same blocked code path under
-//                  -DSRNA_DISABLE_SIMD, which is the only path sanitizer
-//                  builds compile).
-//   kFourRussians  Four-Russians-style block evaluation: per-event deltas
-//                  against the running row maximum are clamped into 3-bit
-//                  codes, four events pack into a 12-bit word, and one
-//                  lookup in a precomputed 4096-entry table (pooled in
-//                  Workspace) replaces the block's max chain. Blocks whose
-//                  deltas exceed the DP delta bound (possible only under
-//                  synthetic d2 oracles) fall back to the scalar chain, so
-//                  the variant stays exact for arbitrary oracles.
-//   kAuto          resolve to the best variant for this build (kSimd).
-//
-// The compressed layout has no event runs to batch; it ignores the variant.
-enum class KernelVariant : std::uint8_t { kAuto, kEventRun, kSimd, kFourRussians };
-
-[[nodiscard]] constexpr const char* kernel_variant_name(KernelVariant v) noexcept {
-  switch (v) {
-    case KernelVariant::kEventRun: return "event-run";
-    case KernelVariant::kSimd: return "simd";
-    case KernelVariant::kFourRussians: return "four-russians";
-    case KernelVariant::kAuto: break;
-  }
-  return "auto";
-}
-
-// Parses the CLI spelling (the names kernel_variant_name returns). Throws
-// std::invalid_argument listing the choices on anything else.
-[[nodiscard]] inline KernelVariant parse_kernel_variant(const std::string& name) {
-  if (name.empty() || name == "auto") return KernelVariant::kAuto;
-  if (name == "event-run") return KernelVariant::kEventRun;
-  if (name == "simd") return KernelVariant::kSimd;
-  if (name == "four-russians") return KernelVariant::kFourRussians;
-  throw std::invalid_argument("unknown kernel variant '" + name +
-                              "' (choices: auto, event-run, simd, four-russians)");
-}
-
 struct McosOptions {
   SliceLayout layout = SliceLayout::kDense;
-
-  // Dense-layout slice kernel variant (see KernelVariant). kAuto picks the
-  // best variant for this build; every choice is bit-identical.
-  KernelVariant kernel = KernelVariant::kAuto;
 
   // SRNA1 only: memo-table representation (see MemoKind).
   MemoKind memo_kind = MemoKind::kArray;

@@ -108,7 +108,7 @@ class Srna1Runner {
     // child spawn and the allocations are reused across slices and solves.
     return tabulate_slice_dense(
         s1_, s2_, *col_events_, b, workspace_.dense_grid(depth),
-        workspace_.slice_kernel(options_.kernel, depth),
+        workspace_.slice_kernel(depth),
         [&](Pos k1, Pos x, Pos k2, Pos y) { return child_value(k1, x, k2, y, depth); },
         &stats_);
   }

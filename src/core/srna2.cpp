@@ -43,8 +43,8 @@ Score run_srna2(const SecondaryStructure& s1, const SecondaryStructure& s2,
   memo.fill(validate ? MemoTable::kUnset : Score{0});
   const ArcIndex idx1(s1);
   const ArcIndex idx2(s2);
-  // The event-run dense kernel's per-solve S2 column-event table, shared by
-  // every stage-one slice and stage two (O(m) to build; reuses capacity).
+  // The dense kernel's per-solve S2 column-event table, shared by every
+  // stage-one slice and stage two (O(m) to build; reuses capacity).
   const ColumnEvents& col_events = scratch.column_events().build(s2);
   preprocess_span.close();
   stats.preprocess_seconds = phase.seconds();
@@ -62,7 +62,7 @@ Score run_srna2(const SecondaryStructure& s1, const SecondaryStructure& s2,
   obs::TraceScope stage1_span("srna2", "stage1");
   Matrix<Score>& dense_scratch = scratch.dense_grid(0);
   EventScratch& compressed_scratch = scratch.events(0);
-  const SliceKernel kernel = scratch.slice_kernel(options.kernel, 0);
+  const SliceKernel kernel = scratch.slice_kernel(0);
   std::uint64_t slices_started = 0;
   for (std::size_t a = 0; a < idx1.size(); ++a) {
     const Arc arc1 = idx1.arc(a);

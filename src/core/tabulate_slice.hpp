@@ -18,19 +18,20 @@
 //   * compressed — one cell per (arc-right-endpoint, arc-right-endpoint)
 //                  event pair, exploiting that F only changes at events.
 //
-// The dense fill is an *event-run* kernel: the column positions where the
+// There is one dense fill (DESIGN.md §4.5). The column positions where the
 // dynamic case can fire (S2 arc right endpoints) are precomputed once per
-// solve into a ColumnEvents table, and each row decomposes into arc-match
-// cells at the events plus constant fills between them — F is provably
-// constant between events, and a row where no S1 arc ends is a verbatim
-// copy of the row above. Same cells, same stats, no per-cell partner probe
-// or load. The pre-event-run per-cell loop is retained as
-// fill_slice_dense_reference for the equivalence property test and the
-// perf-regression gate (bench/micro_kernels --smoke).
+// solve into a ColumnEvents table; each row decomposes into arc-match cells
+// at the events plus constant fills between them — F is provably constant
+// between events, and a row where no S1 arc ends is a verbatim copy of the
+// row above — and the event cells of a row are evaluated in batched passes,
+// vectorized at compile time. Same cells, same stats, no per-cell partner
+// probe or load. The per-cell loop is retained as fill_slice_dense_reference,
+// the oracle of the equivalence tests and of the perf gate
+// (bench/micro_kernels --smoke).
 //
-// Both return the slice's final value F(lo1, hi1, lo2, hi2) — the only value
-// the memo table M retains ("only the last tabulated subproblem of each
-// child slice needs to be memoized").
+// Both layouts return the slice's final value F(lo1, hi1, lo2, hi2) — the
+// only value the memo table M retains ("only the last tabulated subproblem
+// of each child slice needs to be memoized").
 #pragma once
 
 #include <algorithm>
@@ -46,9 +47,9 @@
 #include "rna/secondary_structure.hpp"
 #include "util/matrix.hpp"
 
-// Compile-time SIMD dispatch for the batched kernel variants (DESIGN.md
-// §4.5). -DSRNA_DISABLE_SIMD forces the scalar instantiation of the same
-// blocked code path — the only instantiation sanitizer builds compile
+// Compile-time SIMD dispatch for the dense kernel (DESIGN.md §4.5).
+// -DSRNA_DISABLE_SIMD forces the scalar instantiation of the same blocked
+// code path — the only instantiation sanitizer builds compile
 // (scripts/check_asan.sh / check_ubsan.sh / check_tsan.sh configure with it),
 // so a sanitizer-clean run certifies exactly the kernel it ran.
 #if !defined(SRNA_DISABLE_SIMD) && defined(__AVX2__)
@@ -106,10 +107,10 @@ struct SliceBounds {
 // endpoint, paired with its left endpoint k, sorted by y, plus an O(1)
 // position → first-event index so a slice restriction is two array reads.
 // F is constant between these events (DESIGN.md §1), so inside a slice row
-// the dynamic case can only fire at them — the fact the event-run dense
-// kernel below exploits. Built once per solve (pooled in Workspace;
-// rebuilding reuses capacity) and shared read-only by every slice of that
-// solve, including PRNA's stage-one workers.
+// the dynamic case can only fire at them — the fact the dense kernel below
+// exploits. Built once per solve (pooled in Workspace; rebuilding reuses
+// capacity) and shared read-only by every slice of that solve, including
+// PRNA's stage-one workers.
 struct ColumnEvents {
   struct Event {
     Pos y;  // arc right endpoint (the event column)
@@ -144,145 +145,10 @@ struct ColumnEvents {
   }
 };
 
-
-// Fills `grid` (resized to width × height) with the dense slice:
-// grid(x - lo1, y - lo2) = F(lo1, x, lo2, y). Used directly by the traceback,
-// which needs the whole grid, and by tabulate_slice_dense below.
-// No-op for empty bounds.
-//
-// `col_events` must be ColumnEvents::build(s2) — computed once per solve by
-// the callers, not here, so tabulating a slice costs nothing beyond its own
-// cells.
-template <typename D2>
-void fill_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& /*s2*/,
-                      const ColumnEvents& col_events, SliceBounds b, Matrix<Score>& grid,
-                      D2&& d2_of, McosStats* stats = nullptr) {
-  if (b.empty()) {
-    grid.resize(0, 0);
-    return;
-  }
-  const auto rows = static_cast<std::size_t>(b.width());
-  const auto cols = static_cast<std::size_t>(b.height());
-  // Deliberately the zeroing resize: this kernel is the pre-batching baseline
-  // the micro_kernels perf gate compares the batched variants against, so it
-  // stays exactly as shipped (the no-zero reshape() is part of the batched
-  // kernels' win).
-  grid.resize(rows, cols, 0);
-
-  if (stats != nullptr) {
-    ++stats->slices_tabulated;
-    stats->cells_tabulated += static_cast<std::uint64_t>(rows) * cols;
-  }
-
-  const std::span<const ColumnEvents::Event> events = col_events.in_range(b.lo2, b.hi2);
-
-  // Two facts of the max-recurrence, independent of the d2 oracle, carry the
-  // whole kernel (DESIGN.md §4.4):
-  //   * a row where no S1 arc ends is a verbatim copy of the row above
-  //     (position x is unusable, and rows are left-to-right monotone), and
-  //   * within any row, F is constant between S2 events — the dynamic case
-  //     fires only at event columns, and between them both `up` and `left`
-  //     are frozen.
-  // So arc rows touch one `up` cell per event plus one per run (a constant
-  // std::fill), and arc-free rows are a single copy. Cell and arc-event
-  // accounting stay identical to the per-cell reference: every cell is still
-  // written, and the dynamic case is evaluated for exactly the same
-  // (row, column) pairs.
-  for (Pos x = b.lo1; x <= b.hi1; ++x) {
-    const auto r = static_cast<std::size_t>(x - b.lo1);
-    Score* row = grid.row_data(r);
-
-    // Arc of S1 ending at x, if its left endpoint is inside the slice. The
-    // first row never qualifies (k1 >= lo1 needs x > lo1), so arc rows
-    // always have a row above.
-    const Pos k1 = s1.arc_left_of(x);
-    if (k1 < b.lo1) {
-      if (r == 0) {
-        std::fill(row, row + cols, Score{0});
-      } else {
-        const Score* up = grid.row_data(r - 1);
-        std::copy(up, up + cols, row);
-      }
-      continue;
-    }
-
-    const Score* up = grid.row_data(r - 1);
-    const Score* d1_row =
-        k1 - 1 >= b.lo1 ? grid.row_data(static_cast<std::size_t>(k1 - 1 - b.lo1)) : nullptr;
-    const Pos lo2 = b.lo2;
-
-    // Event-free runs are constant: up[] is frozen across a run (the row
-    // above is also constant between events), and after an event the event
-    // cell's value already dominates it (v >= up[event]), so only the run
-    // before the *first* event reads up[] at all. One fill per run.
-    Score left = 0;  // slice[x][y-1], carried across the row
-    std::size_t c = 0;
-    std::uint64_t row_arc_events = 0;
-    if (lo2 == 0 && d1_row != nullptr) {
-      // Root-anchored slice: every event qualifies (e.k >= 0 == lo2), so the
-      // qualify branch and the d1_row null check drop out of the hot loop.
-      row_arc_events = events.size();
-      for (const ColumnEvents::Event& e : events) {
-        const auto ce = static_cast<std::size_t>(e.y);
-        if (ce > c) {
-          if (c == 0) left = up[0];
-          std::fill(row + c, row + ce, left);
-        }
-        Score v = std::max(up[ce], left);
-        const Score d1 = e.k >= 1 ? d1_row[static_cast<std::size_t>(e.k - 1)] : 0;
-        const Score d2 = d2_of(k1, x, e.k, e.y);
-        v = std::max(v, static_cast<Score>(1 + d1 + d2));
-        row[ce] = v;
-        left = v;
-        c = ce + 1;
-      }
-    } else {
-      for (const ColumnEvents::Event& e : events) {
-        const auto ce = static_cast<std::size_t>(e.y - lo2);
-        if (ce > c) {
-          if (c == 0) left = up[0];
-          std::fill(row + c, row + ce, left);
-        }
-        // The event cell: the one column in [c, ce] where an S2 arc ends.
-        Score v = std::max(up[ce], left);
-        if (e.k >= lo2) {
-          const Score d1 = (d1_row != nullptr && e.k - 1 >= lo2)
-                               ? d1_row[static_cast<std::size_t>(e.k - 1 - lo2)]
-                               : 0;
-          const Score d2 = d2_of(k1, x, e.k, e.y);
-          v = std::max(v, static_cast<Score>(1 + d1 + d2));
-          ++row_arc_events;
-        }
-        row[ce] = v;
-        left = v;
-        c = ce + 1;
-      }
-    }
-    if (c < cols) {
-      if (c == 0) left = up[0];
-      std::fill(row + c, row + cols, left);
-    }
-    if (stats != nullptr) stats->arc_match_events += row_arc_events;
-  }
-}
-
-// Convenience overload building the column events locally: for the few-slice
-// callers (traceback re-tabulation, enumeration, tests). The per-slice
-// solvers pass a prebuilt table instead — never use this form in a loop over
-// slices.
-template <typename D2>
-void fill_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& s2,
-                      SliceBounds b, Matrix<Score>& grid, D2&& d2_of,
-                      McosStats* stats = nullptr) {
-  ColumnEvents col_events;
-  col_events.build(s2);
-  fill_slice_dense(s1, s2, col_events, b, grid, static_cast<D2&&>(d2_of), stats);
-}
-
-// The pre-event-run dense fill: one partner probe and one arc branch per
-// cell. Kept (not as a fast path) so the randomized equivalence test and the
-// micro_kernels perf gate can pin the event-run kernel against the exact
-// loop the paper's cost model describes.
+// The per-cell dense fill: one partner probe and one arc branch per cell,
+// exactly the loop the paper's cost model describes. Not a fast path — kept
+// as the oracle the randomized equivalence tests and the micro_kernels perf
+// gate pin the dense kernel against.
 template <typename D2>
 void fill_slice_dense_reference(const SecondaryStructure& s1, const SecondaryStructure& s2,
                                 SliceBounds b, Matrix<Score>& grid, D2&& d2_of,
@@ -335,32 +201,30 @@ void fill_slice_dense_reference(const SecondaryStructure& s1, const SecondaryStr
 }
 
 // ---------------------------------------------------------------------------
-// Batched kernel variants (DESIGN.md §4.5).
+// The dense kernel's row evaluation (DESIGN.md §4.5).
 //
-// The event-run kernel above still evaluates the per-event max chain
-// serially: `v = max(up[ce], left); v = max(v, 1 + d1 + d2); left = v` is a
-// loop-carried dependency through `left`. The variants below break the row
-// into three passes over contiguous per-event arrays:
+// Evaluated cell by cell, an arc row's events form a serial max chain:
+// `v = max(up[ce], left); v = max(v, 1 + d1 + d2); left = v` is a
+// loop-carried dependency through `left`. The kernel breaks the row into
+// three passes over contiguous per-event arrays:
 //
 //   1. candidates — cand[j] = 1 + d1 + d2 for the qualifying events (the
 //      memo gather), no loop-carried dependency;
 //   2. combine    — a[j] = max(cand[j], up[ce_j]) (vertical max, SIMD);
-//   3. reduce     — v[j] = max(a_0..a_j), an inclusive prefix max. kSimd
-//      runs a log-step vector scan; kFourRussians packs four per-event
-//      deltas into a 12-bit word and resolves the block with one lookup in
-//      a precomputed table.
+//   3. reduce     — v[j] = max(a_0..a_j), an inclusive prefix max run as a
+//      log-step vector scan.
 //
 // Row identity: v_j = max(a_0..a_j) with no seed term, because the run
 // before the first event contributes up[0] <= up[ce_0] <= a_0 (rows of F
 // are monotone non-decreasing left to right). Cells between events keep
-// their run values exactly as in the event-run kernel.
+// the value of the event before them.
 //
 // The event columns and d1 gather indices are row-invariant, so they are
 // precomputed once per slice into a KernelScratch (pooled per recursion
 // level in Workspace).
 
-// Reusable per-slice buffers of the batched kernels. Pooled in Workspace
-// (kernel_scratch(level)); a steady-state solve allocates nothing.
+// Reusable per-slice buffers of the dense kernel. Pooled in Workspace
+// (slice_kernel(level)); a steady-state solve allocates nothing.
 struct KernelScratch {
   // d1_idx sentinels: the event qualifies with d1 = 0 (its partner arc
   // starts exactly at the slice edge), or does not qualify at all.
@@ -377,63 +241,11 @@ struct KernelScratch {
   }
 };
 
-// The Four-Russians block-combine table. Within a row, consecutive event
-// values satisfy a_j - v_{j-1} <= 1 for any true-DP d2 oracle (the arc-match
-// increment bound, DESIGN.md §4.5), so the delta of a_j against the value
-// entering a 4-event block lies in [-1, 4] (deltas below -1 clamp losslessly:
-// they cannot win a max). Each delta packs into a 3-bit code, four events
-// into a 12-bit word, and this table maps the word to the four packed
-// running maxima — one lookup replaces the block's max chain. Blocks whose
-// deltas exceed kMaxDelta (possible only under synthetic oracles, e.g. the
-// equivalence test's position-dependent fake d2) are detected at encode time
-// and fall back to the scalar chain, keeping the variant exact for arbitrary
-// oracles. Built once and pooled in Workspace (~8 KiB).
-struct FourRussiansTable {
-  static constexpr std::size_t kBlockEvents = 4;
-  static constexpr unsigned kCodeBits = 3;
-  static constexpr std::int32_t kMaxDelta = 4;  // j + 1 <= 4 within a block
-  static constexpr std::size_t kEntries = std::size_t{1} << (kCodeBits * kBlockEvents);
-
-  // combine[word] packs, per event j of the block, max(0, delta_0..delta_j)
-  // in the same 3-bit slots; v_j = base + that running maximum.
-  std::vector<std::uint16_t> combine;
-
-  void build() {
-    if (!combine.empty()) return;
-    combine.resize(kEntries);
-    for (std::size_t word = 0; word < kEntries; ++word) {
-      std::uint16_t out = 0;
-      std::int32_t running = 0;
-      for (unsigned j = 0; j < kBlockEvents; ++j) {
-        const auto code = static_cast<std::int32_t>((word >> (kCodeBits * j)) & 7U);
-        running = std::max(running, code - 1);  // codes 0..5 encode deltas -1..4
-        out = static_cast<std::uint16_t>(
-            out | (static_cast<unsigned>(running) << (kCodeBits * j)));
-      }
-      combine[word] = out;
-    }
-  }
-
-  [[nodiscard]] bool built() const noexcept { return !combine.empty(); }
-  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
-    return combine.capacity() * sizeof(std::uint16_t);
-  }
-};
-
-// kAuto resolves to the best variant for this build. The blocked kernels are
-// always selectable — under SRNA_DISABLE_SIMD their vector primitives are
-// scalar loops with bit-identical results — so resolution is unconditional.
-[[nodiscard]] constexpr KernelVariant resolve_kernel_variant(KernelVariant v) noexcept {
-  return v == KernelVariant::kAuto ? KernelVariant::kSimd : v;
-}
-
-// A resolved kernel selection bundled with its pooled state: what the
-// per-slice call sites thread through. Workspace::slice_kernel() builds one;
-// tests build them by hand around a local scratch/table.
+// A handle to the KernelScratch one dense fill works in: what
+// Workspace::slice_kernel(level) hands the solvers. Few-slice callers
+// (traceback, enumeration, tests) wrap a scratch of their own.
 struct SliceKernel {
-  KernelVariant variant = KernelVariant::kEventRun;  // resolved; never kAuto
-  KernelScratch* scratch = nullptr;                  // kSimd / kFourRussians
-  const FourRussiansTable* table = nullptr;          // kFourRussians only
+  KernelScratch* scratch = nullptr;
 };
 
 namespace detail {
@@ -616,17 +428,6 @@ inline void compute_event_d2(const KernelScratch& ks, const PreparedEvents& prep
   }
 }
 
-// Pass 1 in one call: cand[j] = 1 + d1 + d2 for qualifying events,
-// kNoCandidate otherwise (the Four-Russians and non-contiguous paths).
-template <typename D2>
-inline void compute_event_candidates(const KernelScratch& ks, const PreparedEvents& prep,
-                                     const Score* d1_row, Pos k1, Pos x,
-                                     std::span<const ColumnEvents::Event> events,
-                                     Score* vals, D2&& d2_of) {
-  compute_event_d2(ks, prep, k1, x, events, vals, d2_of);
-  apply_d1_candidates(ks.d1_idx.data(), prep.count, prep.desc_prefix, d1_row, vals);
-}
-
 #if defined(SRNA_KERNEL_SSE2)
 inline __m128i max_epi32_sse(__m128i a, __m128i b) noexcept {
 #if defined(__SSE4_1__) || defined(SRNA_KERNEL_AVX2)
@@ -638,27 +439,7 @@ inline __m128i max_epi32_sse(__m128i a, __m128i b) noexcept {
 }
 #endif
 
-// Pass 2a (contiguous events): a[j] = max(a[j], up_run[j]) — a vertical max
-// over two contiguous blocks.
-inline void combine_up_contiguous(Score* vals, const Score* up, std::size_t n) noexcept {
-  std::size_t j = 0;
-#if defined(SRNA_KERNEL_AVX2)
-  for (; j + 8 <= n; j += 8) {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + j));
-    const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(up + j));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + j), _mm256_max_epi32(a, b));
-  }
-#elif defined(SRNA_KERNEL_SSE2)
-  for (; j + 4 <= n; j += 4) {
-    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(vals + j));
-    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(up + j));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(vals + j), max_epi32_sse(a, b));
-  }
-#endif
-  for (; j < n; ++j) vals[j] = std::max(vals[j], up[j]);
-}
-
-// Pass 2b (general events): a[j] = max(a[j], up[cols[j]]) — a gather on
+// Pass 2 (non-contiguous events): a[j] = max(a[j], up[cols[j]]) — a gather on
 // AVX2, scalar otherwise.
 inline void combine_up_gather(Score* vals, const Score* up, const std::uint32_t* cols,
                               std::size_t n) noexcept {
@@ -674,7 +455,7 @@ inline void combine_up_gather(Score* vals, const Score* up, const std::uint32_t*
   for (; j < n; ++j) vals[j] = std::max(vals[j], up[cols[j]]);
 }
 
-// Pass 3 (kSimd): inclusive prefix max of src into dst (dst == src for
+// Pass 3: inclusive prefix max of src into dst (dst == src for
 // in-place), returning the running maximum. Vector blocks of four with a
 // log-step shift-and-max scan; zeros shifted in at the block edge are
 // harmless because the inputs (already maxed with the up row) are never
@@ -715,10 +496,6 @@ inline Score prefix_max_to(Score* dst, const Score* src, std::size_t n) noexcept
     dst[j] = carry;
   }
   return carry;
-}
-
-inline void prefix_max_inclusive(Score* vals, std::size_t n) noexcept {
-  (void)prefix_max_to(vals, vals, n);
 }
 
 #if defined(SRNA_KERNEL_AVX2)
@@ -834,22 +611,18 @@ inline Score fused_candidates_scan(const std::int32_t* d1_idx, std::size_t ne,
 
 // Writes one reduced event row back into the grid: the head run before the
 // first event, the event cells, the constant runs between them, and the
-// tail run. In the contiguous case the event cells are one block copy.
+// tail run.
 inline void scatter_event_row(Score* row, std::size_t cols, Score head,
                               const std::uint32_t* ecols, const Score* vals,
-                              std::size_t ne, bool contiguous) noexcept {
+                              std::size_t ne) noexcept {
   const std::size_t first = ecols[0];
   if (first > 0) std::fill(row, row + first, head);
-  if (contiguous) {
-    std::copy(vals, vals + ne, row + first);
-  } else {
-    std::size_t c = first;
-    for (std::size_t j = 0; j < ne; ++j) {
-      const std::size_t ce = ecols[j];
-      if (ce > c) std::fill(row + c, row + ce, vals[j - 1]);
-      row[ce] = vals[j];
-      c = ce + 1;
-    }
+  std::size_t c = first;
+  for (std::size_t j = 0; j < ne; ++j) {
+    const std::size_t ce = ecols[j];
+    if (ce > c) std::fill(row + c, row + ce, vals[j - 1]);
+    row[ce] = vals[j];
+    c = ce + 1;
   }
   const std::size_t last = ecols[ne - 1];
   if (last + 1 < cols) std::fill(row + last + 1, row + cols, vals[ne - 1]);
@@ -857,14 +630,32 @@ inline void scatter_event_row(Score* row, std::size_t cols, Score head,
 
 }  // namespace detail
 
-// The kSimd dense fill: same cells, same stats, same d2 call pattern as
-// fill_slice_dense, with the event rows evaluated by the three batched
-// passes above.
+// Fills `grid` (shaped width × height) with the dense slice:
+// grid(x - lo1, y - lo2) = F(lo1, x, lo2, y). Used directly by the traceback
+// and enumeration, which need the whole grid, and by tabulate_slice_dense
+// below. No-op for empty bounds.
+//
+// `col_events` must be ColumnEvents::build(s2) — computed once per solve by
+// the callers, not here, so tabulating a slice costs nothing beyond its own
+// cells. `kernel.scratch` must stay untouched by anything else until the
+// fill returns (SRNA1's d2 spawns child fills: they use a deeper level's
+// scratch).
+//
+// Two facts of the max-recurrence, independent of the d2 oracle, carry the
+// whole kernel (DESIGN.md §4.4):
+//   * a row where no S1 arc ends is a verbatim copy of the row above
+//     (position x is unusable, and rows are left-to-right monotone), and
+//   * within any row, F is constant between S2 events — the dynamic case
+//     fires only at event columns, and between them both `up` and `left`
+//     are frozen.
+// Cell and arc-event accounting stay identical to the per-cell reference:
+// every cell is still written, and the dynamic case is evaluated for
+// exactly the same (row, column) pairs, with d2_of called in the same
+// order.
 template <typename D2>
-void fill_slice_dense_simd(const SecondaryStructure& s1, const SecondaryStructure& /*s2*/,
-                           const ColumnEvents& col_events, SliceBounds b,
-                           Matrix<Score>& grid, KernelScratch& ks, D2&& d2_of,
-                           McosStats* stats = nullptr) {
+void fill_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& /*s2*/,
+                      const ColumnEvents& col_events, SliceBounds b, Matrix<Score>& grid,
+                      SliceKernel kernel, D2&& d2_of, McosStats* stats = nullptr) {
   if (b.empty()) {
     grid.resize(0, 0);
     return;
@@ -876,6 +667,7 @@ void fill_slice_dense_simd(const SecondaryStructure& s1, const SecondaryStructur
     ++stats->slices_tabulated;
     stats->cells_tabulated += static_cast<std::uint64_t>(rows) * cols;
   }
+  KernelScratch& ks = *kernel.scratch;
   const std::span<const ColumnEvents::Event> events = col_events.in_range(b.lo2, b.hi2);
   const detail::PreparedEvents prep = detail::prepare_kernel_events(events, b.lo2, ks);
   const std::size_t ne = prep.count;
@@ -920,160 +712,40 @@ void fill_slice_dense_simd(const SecondaryStructure& s1, const SecondaryStructur
     } else {
       detail::apply_d1_candidates(ks.d1_idx.data(), ne, prep.desc_prefix, d1_row, vals);
       detail::combine_up_gather(vals, up, ks.cols.data(), ne);
-      detail::prefix_max_inclusive(vals, ne);
-      detail::scatter_event_row(row, cols, up[0], ks.cols.data(), vals, ne, false);
+      (void)detail::prefix_max_to(vals, vals, ne);
+      detail::scatter_event_row(row, cols, up[0], ks.cols.data(), vals, ne);
     }
     if (stats != nullptr) stats->arc_match_events += prep.qualifying;
   }
 }
 
-// The kFourRussians dense fill: passes 1–2 as in kSimd, then the prefix max
-// resolved four events at a time through the block-combine table. `table`
-// must be built (FourRussiansTable::build).
-template <typename D2>
-void fill_slice_dense_four_russians(const SecondaryStructure& s1,
-                                    const SecondaryStructure& /*s2*/,
-                                    const ColumnEvents& col_events, SliceBounds b,
-                                    Matrix<Score>& grid, KernelScratch& ks,
-                                    const FourRussiansTable& table, D2&& d2_of,
-                                    McosStats* stats = nullptr) {
-  if (b.empty()) {
-    grid.resize(0, 0);
-    return;
-  }
-  const auto rows = static_cast<std::size_t>(b.width());
-  const auto cols = static_cast<std::size_t>(b.height());
-  grid.reshape(rows, cols);  // every cell is written below; no zero pass
-  if (stats != nullptr) {
-    ++stats->slices_tabulated;
-    stats->cells_tabulated += static_cast<std::uint64_t>(rows) * cols;
-  }
-  const std::span<const ColumnEvents::Event> events = col_events.in_range(b.lo2, b.hi2);
-  const detail::PreparedEvents prep = detail::prepare_kernel_events(events, b.lo2, ks);
-  const std::size_t ne = prep.count;
-
-  for (Pos x = b.lo1; x <= b.hi1; ++x) {
-    const auto r = static_cast<std::size_t>(x - b.lo1);
-    Score* row = grid.row_data(r);
-    const Pos k1 = s1.arc_left_of(x);
-    if (k1 < b.lo1) {
-      if (r == 0) {
-        std::fill(row, row + cols, Score{0});
-      } else {
-        const Score* up = grid.row_data(r - 1);
-        std::copy(up, up + cols, row);
-      }
-      continue;
-    }
-
-    const Score* up = grid.row_data(r - 1);
-    if (ne == 0) {
-      std::fill(row, row + cols, up[0]);
-      continue;
-    }
-    const Score* d1_row =
-        k1 - 1 >= b.lo1 ? grid.row_data(static_cast<std::size_t>(k1 - 1 - b.lo1)) : nullptr;
-    Score* vals = ks.vals.data();
-    detail::compute_event_candidates(ks, prep, d1_row, k1, x, events, vals, d2_of);
-    if (prep.contiguous) {
-      detail::combine_up_contiguous(vals, up + ks.cols[0], ne);
-    } else {
-      detail::combine_up_gather(vals, up, ks.cols.data(), ne);
-    }
-
-    // Block reduction: v_j = max(a_0..a_j), four events per table lookup.
-    // `left` (the value entering the block) starts at up[ce_0] <= a_0, which
-    // keeps the delta codes anchored without changing the maximum.
-    Score left = up[ks.cols[0]];
-    std::size_t j = 0;
-    while (j < ne) {
-      if (ne - j >= FourRussiansTable::kBlockEvents) {
-        std::uint32_t word = 0;
-        bool in_bound = true;
-        for (unsigned t = 0; t < FourRussiansTable::kBlockEvents; ++t) {
-          const std::int32_t delta = vals[j + t] - left;
-          if (delta > FourRussiansTable::kMaxDelta) {
-            in_bound = false;  // synthetic oracle broke the DP delta bound
-            break;
-          }
-          const std::int32_t code = (delta < -1 ? -1 : delta) + 1;
-          word |= static_cast<std::uint32_t>(code) << (FourRussiansTable::kCodeBits * t);
-        }
-        if (in_bound) {
-          const std::uint16_t m = table.combine[word];
-          for (unsigned t = 0; t < FourRussiansTable::kBlockEvents; ++t)
-            vals[j + t] = static_cast<Score>(
-                left + static_cast<Score>((m >> (FourRussiansTable::kCodeBits * t)) & 7U));
-          left = vals[j + FourRussiansTable::kBlockEvents - 1];
-          j += FourRussiansTable::kBlockEvents;
-          continue;
-        }
-      }
-      // Remainder events and out-of-bound blocks: the scalar max chain.
-      left = std::max(left, vals[j]);
-      vals[j] = left;
-      ++j;
-    }
-    detail::scatter_event_row(row, cols, up[0], ks.cols.data(), vals, ne, prep.contiguous);
-    if (stats != nullptr) stats->arc_match_events += prep.qualifying;
-  }
-}
-
-// Variant-dispatching fill: the form the solvers call, with the selection
-// and pooled state bundled in a SliceKernel (Workspace::slice_kernel()).
+// Convenience overload building the column events and kernel scratch
+// locally: for tests and one-off fills. The per-slice solvers pass a
+// prebuilt table and pooled scratch instead — never use this form in a loop
+// over slices.
 template <typename D2>
 void fill_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& s2,
-                      const ColumnEvents& col_events, SliceBounds b, Matrix<Score>& grid,
-                      const SliceKernel& kernel, D2&& d2_of, McosStats* stats = nullptr) {
-  switch (kernel.variant) {
-    case KernelVariant::kSimd:
-      fill_slice_dense_simd(s1, s2, col_events, b, grid, *kernel.scratch,
-                            static_cast<D2&&>(d2_of), stats);
-      return;
-    case KernelVariant::kFourRussians:
-      fill_slice_dense_four_russians(s1, s2, col_events, b, grid, *kernel.scratch,
-                                     *kernel.table, static_cast<D2&&>(d2_of), stats);
-      return;
-    case KernelVariant::kEventRun:
-    case KernelVariant::kAuto:  // resolved by Workspace::slice_kernel; safe default
-      break;
-  }
-  fill_slice_dense(s1, s2, col_events, b, grid, static_cast<D2&&>(d2_of), stats);
+                      SliceBounds b, Matrix<Score>& grid, D2&& d2_of,
+                      McosStats* stats = nullptr) {
+  ColumnEvents col_events;
+  col_events.build(s2);
+  KernelScratch scratch;
+  fill_slice_dense(s1, s2, col_events, b, grid, SliceKernel{&scratch},
+                   static_cast<D2&&>(d2_of), stats);
 }
 
 // Dense TabulateSlice: fills into `scratch` (reused across calls — the
 // paper's per-call allocate/deallocate without the allocator churn) and
-// returns the final value. `col_events` is the per-solve ColumnEvents table.
+// returns the final value. `col_events` is the per-solve ColumnEvents table,
+// `kernel` the caller's pooled kernel scratch (Workspace::slice_kernel).
 template <typename D2>
 Score tabulate_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& s2,
                            const ColumnEvents& col_events, SliceBounds b,
-                           Matrix<Score>& scratch, D2&& d2_of, McosStats* stats = nullptr) {
+                           Matrix<Score>& scratch, SliceKernel kernel, D2&& d2_of,
+                           McosStats* stats = nullptr) {
   if (b.empty()) {
     // An empty slice (hairpin interior) still counts as one tabulated slice:
     // SRNA2's stage one visits it and memoizes 0.
-    if (stats != nullptr) ++stats->slices_tabulated;
-    return 0;
-  }
-  obs::TraceScope span("slice", "tabulate_dense", detail::slice_trace_sample());
-  if (span.active())
-    span.set_args(obs::trace_args({{"rows", b.width()}, {"cols", b.height()}}));
-  fill_slice_dense(s1, s2, col_events, b, scratch, static_cast<D2&&>(d2_of), stats);
-  if (span.active()) {
-    const std::uint64_t elapsed = obs::Tracer::instance().now_us() - span.start_us();
-    detail::sampled_slice_histogram().observe(static_cast<double>(elapsed) * 1e-6);
-  }
-  return scratch(static_cast<std::size_t>(b.width()) - 1,
-                 static_cast<std::size_t>(b.height()) - 1);
-}
-
-// Variant-dispatching TabulateSlice: same contract, with the kernel selected
-// by a SliceKernel (the solvers' per-slice entry point).
-template <typename D2>
-Score tabulate_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& s2,
-                           const ColumnEvents& col_events, SliceBounds b,
-                           Matrix<Score>& scratch, const SliceKernel& kernel, D2&& d2_of,
-                           McosStats* stats = nullptr) {
-  if (b.empty()) {
     if (stats != nullptr) ++stats->slices_tabulated;
     return 0;
   }
@@ -1090,16 +762,17 @@ Score tabulate_slice_dense(const SecondaryStructure& s1, const SecondaryStructur
                  static_cast<std::size_t>(b.height()) - 1);
 }
 
-// Convenience overload building the column events locally (few-slice callers
-// and tests only; see fill_slice_dense).
+// Convenience overload building the column events and kernel scratch
+// locally (tests and one-off fills only; see fill_slice_dense).
 template <typename D2>
 Score tabulate_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& s2,
                            SliceBounds b, Matrix<Score>& scratch, D2&& d2_of,
                            McosStats* stats = nullptr) {
   ColumnEvents col_events;
   col_events.build(s2);
-  return tabulate_slice_dense(s1, s2, col_events, b, scratch, static_cast<D2&&>(d2_of),
-                              stats);
+  KernelScratch kernel_scratch;
+  return tabulate_slice_dense(s1, s2, col_events, b, scratch, SliceKernel{&kernel_scratch},
+                              static_cast<D2&&>(d2_of), stats);
 }
 
 // Reusable buffers for the compressed (event-grid) layout: one value cell

@@ -29,7 +29,7 @@ class TracebackWalker {
     std::vector<SliceBounds> pending;
     {
       Matrix<Score> grid;
-      fill_slice_dense(s1_, s2_, col_events_, bounds, grid,
+      fill_slice_dense(s1_, s2_, col_events_, bounds, grid, SliceKernel{&kernel_scratch_},
                        [&](Pos k1, Pos /*x*/, Pos k2, Pos /*y*/) {
                          return memo_.get(k1 + 1, k2 + 1);
                        });
@@ -53,6 +53,9 @@ class TracebackWalker {
   const SecondaryStructure& s2_;
   const MemoTable& memo_;
   ColumnEvents col_events_;
+  // One scratch serves every fill of the walk: a fill finishes before the
+  // walk descends into the children it found.
+  KernelScratch kernel_scratch_;
 };
 
 }  // namespace

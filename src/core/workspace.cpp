@@ -10,7 +10,6 @@ std::size_t Workspace::trim(std::size_t max_bytes) {
   while (footprint_bytes() > max_bytes && !events_.empty()) events_.pop_back();
   while (footprint_bytes() > max_bytes && !lean_scratch_.empty()) lean_scratch_.pop_back();
   while (footprint_bytes() > max_bytes && !kernel_scratch_.empty()) kernel_scratch_.pop_back();
-  if (footprint_bytes() > max_bytes) four_russians_ = FourRussiansTable{};
   if (footprint_bytes() > max_bytes) lean_store_.release();
   if (footprint_bytes() > max_bytes) column_events_ = ColumnEvents{};
   if (footprint_bytes() > max_bytes) memo_ = MemoTable{};

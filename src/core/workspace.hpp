@@ -16,8 +16,10 @@
 //   * events(level)        — EventScratch for the compressed layout, same
 //                            level discipline
 //   * column_events()      — the per-solve S2 column-event table the dense
-//                            event-run kernel sweeps between (rebuild per
-//                            solve; capacity survives)
+//                            kernel sweeps between (rebuild per solve;
+//                            capacity survives)
+//   * slice_kernel(level)  — the dense kernel's per-slice scratch, same
+//                            level discipline as dense_grid()
 //
 // Thread pooling: local() hands out one Workspace per thread (thread_local),
 // which is what the OpenMP pair loops in the structure DB and PRNA's
@@ -30,6 +32,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -39,6 +42,12 @@
 #include "core/tabulate_slice.hpp"
 
 namespace srna {
+
+// Compatibility shim for callers written against the retired dense-kernel
+// selector (the perfbench harness calls slice_kernel(KernelVariant::kAuto)).
+// There is one dense kernel, so the only value forwards to slice_kernel(0).
+// Drop this and the overload below with the next benchmark change.
+enum class KernelVariant : std::uint8_t { kAuto };
 
 class Workspace {
  public:
@@ -77,39 +86,23 @@ class Workspace {
     return *events_[level];
   }
 
-  // The S2 column-event table for the dense event-run kernel. One per
-  // workspace (every recursion level of a solve reads the same S2): callers
+  // The S2 column-event table for the dense kernel. One per workspace
+  // (every recursion level of a solve reads the same S2): callers
   // `.build(s2)` it once at solve start and pass it to the slice kernels.
   ColumnEvents& column_events() noexcept { return column_events_; }
 
-  // Per-event kernel scratch for the batched slice kernels, same level
-  // discipline as dense_grid() (SRNA1 fills child slices while the parent's
-  // prepared events are live).
-  KernelScratch& kernel_scratch(std::size_t level = 0) {
+  // The dense kernel's per-slice scratch for recursion level `level`, same
+  // level discipline as dense_grid() (SRNA1 fills child slices while the
+  // parent's prepared events are live) — what the solvers pass to
+  // tabulate_slice_dense per slice.
+  [[nodiscard]] SliceKernel slice_kernel(std::size_t level = 0) {
     while (kernel_scratch_.size() <= level)
       kernel_scratch_.push_back(std::make_unique<KernelScratch>());
-    return *kernel_scratch_[level];
+    return SliceKernel{kernel_scratch_[level].get()};
   }
 
-  // The Four-Russians block-combine table, built on first use (~8 KiB,
-  // shared by every solve on this workspace; the table depends on nothing
-  // solve-specific).
-  const FourRussiansTable& four_russians_table() {
-    four_russians_.build();
-    return four_russians_;
-  }
-
-  // Bundles a resolved kernel variant with this workspace's pooled state —
-  // what the solvers thread to fill_slice_dense per slice.
-  [[nodiscard]] SliceKernel slice_kernel(KernelVariant variant, std::size_t level = 0) {
-    SliceKernel kernel;
-    kernel.variant = resolve_kernel_variant(variant);
-    if (kernel.variant != KernelVariant::kEventRun)
-      kernel.scratch = &kernel_scratch(level);
-    if (kernel.variant == KernelVariant::kFourRussians)
-      kernel.table = &four_russians_table();
-    return kernel;
-  }
+  // Compatibility shim (see KernelVariant above): slice_kernel(0).
+  [[nodiscard]] SliceKernel slice_kernel(KernelVariant /*variant*/) { return slice_kernel(0); }
 
   // The windowed (space-lean) memo store for the srna-lean path. The solver
   // configure()s it per solve; resident rows survive for the traceback.
@@ -138,7 +131,6 @@ class Workspace {
     for (const auto& e : events_) total += e->capacity_bytes();
     for (const auto& l : lean_scratch_) total += l->capacity_bytes();
     for (const auto& k : kernel_scratch_) total += k->capacity_bytes();
-    total += four_russians_.capacity_bytes();
     return total;
   }
 
@@ -186,7 +178,6 @@ class Workspace {
     events_.clear();
     lean_scratch_.clear();
     kernel_scratch_.clear();
-    four_russians_ = FourRussiansTable{};
     lean_store_.release();
     column_events_ = ColumnEvents{};
   }
@@ -202,7 +193,6 @@ class Workspace {
   std::vector<std::unique_ptr<EventScratch>> events_;
   std::vector<std::unique_ptr<LeanSliceScratch>> lean_scratch_;
   std::vector<std::unique_ptr<KernelScratch>> kernel_scratch_;
-  FourRussiansTable four_russians_;
   WindowedMemoStore lean_store_;
   ColumnEvents column_events_;
   std::uint64_t solves_ = 0;

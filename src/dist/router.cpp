@@ -12,6 +12,7 @@
 #include "obs/trace.hpp"
 #include "rna/dot_bracket.hpp"
 #include "rna/structure_hash.hpp"
+#include "serve/line_reader.hpp"
 #include "serve/protocol.hpp"
 
 namespace srna::dist {
@@ -335,21 +336,15 @@ void Router::mark_link_down(Link& link) {
 
 void Router::read_loop(Link& link) {
   const int fd = link.fd;  // stable for the life of this reader
-  std::string buffer;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (!line.empty()) handle_shard_response(link, line);
-    }
-    buffer.erase(0, start);
-  }
+  // A shard line past the cap ends the link exactly like a disconnect: the
+  // link goes down and its in-flight requests are re-homed below.
+  if (serve::read_lines(fd, [&](const std::string& line) {
+        handle_shard_response(link, line);
+      }) == serve::ReadEnd::kOverflow)
+    obs::log_warn("router.shard_line_overflow",
+                  obs::log_fields({{"shard", obs::Json(link.address.name)},
+                                   {"max_line_bytes", obs::Json(static_cast<std::uint64_t>(
+                                                          serve::kMaxLineBytes))}}));
   {
     std::lock_guard lock(link.mutex);
     mark_link_down(link);

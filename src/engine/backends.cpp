@@ -42,7 +42,6 @@ class Srna1Backend final : public SolverBackend {
     BackendCaps c;
     c.lazy_controls = true;
     c.cancel = true;
-    c.kernel_variants = true;
     return c;
   }
   EngineResult solve(const SecondaryStructure& s1, const SecondaryStructure& s2,
@@ -60,7 +59,6 @@ class Srna2Backend final : public SolverBackend {
   BackendCaps caps() const noexcept override {
     BackendCaps c;
     c.cancel = true;
-    c.kernel_variants = true;
     return c;
   }
   EngineResult solve(const SecondaryStructure& s1, const SecondaryStructure& s2,
@@ -113,7 +111,6 @@ class PrnaBackend final : public SolverBackend {
     c.threads = true;
     c.balance_control = true;
     c.schedule_controls = true;
-    c.kernel_variants = true;
     return c;
   }
   void validate(const SolverConfig& config) const override {
@@ -149,7 +146,6 @@ class PrnaStealBackend final : public SolverBackend {
     BackendCaps c;
     c.threads = true;
     c.schedule_controls = true;  // parallel_stage2 / stage1_hook pass through
-    c.kernel_variants = true;
     return c;
   }
   void validate(const SolverConfig& config) const override {

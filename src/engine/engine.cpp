@@ -16,7 +16,6 @@ McosOptions SolverConfig::to_mcos() const {
   options.spawn_limit = spawn_limit;
   options.validate_memo = validate_memo;
   options.cancel = cancel;
-  options.kernel = kernel;
   return options;
 }
 
@@ -29,7 +28,6 @@ PrnaOptions SolverConfig::to_prna() const {
   options.parallel_stage2 = parallel_stage2;
   options.validate_memo = validate_memo;
   options.stage1_hook = stage1_hook;
-  options.kernel = kernel;
   return options;
 }
 
@@ -68,7 +66,6 @@ void SolverBackend::validate(const SolverConfig& config) const {
   if (!c.cancel && config.cancel != nullptr) reject("cancel");
   if (!c.memory_budget && config.memory_budget_bytes != defaults.memory_budget_bytes)
     reject("memory_budget_bytes");
-  if (!c.kernel_variants && config.kernel != defaults.kernel) reject("kernel");
   // layout and validate_memo are accept-and-ignore by design (BackendCaps).
 }
 

@@ -62,11 +62,6 @@ struct SolverConfig {
   SliceLayout layout = SliceLayout::kDense;
   bool validate_memo = false;
 
-  // Dense-slice kernel variant (srna1/srna2/prna/prna-steal); backends
-  // without the capability reject non-auto values rather than silently
-  // solving with a different kernel than requested.
-  KernelVariant kernel = KernelVariant::kAuto;
-
   // SRNA1 only: lazy-evaluation controls.
   MemoKind memo_kind = MemoKind::kArray;
   bool memoize = true;
@@ -111,7 +106,6 @@ struct BackendCaps {
   bool schedule_controls = false;  // honors schedule / parallel_stage2 / stage1_hook
   bool cancel = false;           // honors SolverConfig::cancel (slice-boundary polls)
   bool memory_budget = false;    // honors SolverConfig::memory_budget_bytes
-  bool kernel_variants = false;  // honors SolverConfig::kernel (dense slice fills)
   bool honors_layout = true;     // informational: layout switches the kernel
 };
 

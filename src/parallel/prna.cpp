@@ -149,8 +149,8 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
     for (std::size_t b = 0; b < idx2.size(); ++b)
       owned[result.assignment.owner[b]].push_back(b);
   }
-  // The event-run dense kernel's per-solve S2 column-event table, shared
-  // read-only by all stage-one workers and stage two.
+  // The dense kernel's per-solve S2 column-event table, shared read-only by
+  // all stage-one workers and stage two.
   const ColumnEvents& col_events = workspace.column_events().build(s2);
   if (const obs::CounterSample delta = preprocess_counters.close();
       delta.available && preprocess_span.active())
@@ -276,7 +276,7 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
       Workspace& pool = Workspace::local();
       Matrix<Score>& dense_scratch = pool.dense_grid(0);
       EventScratch& compressed_scratch = pool.events(0);
-      const SliceKernel slice_kernel = pool.slice_kernel(options.kernel, 0);
+      const SliceKernel slice_kernel = pool.slice_kernel(0);
       WorkStealingDeque& mine = queues[tid];
 
       auto run_slice = [&](std::uint32_t id) {
@@ -379,7 +379,7 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
     Workspace& pool = Workspace::local();
     Matrix<Score>& dense_scratch = pool.dense_grid(0);
     EventScratch& compressed_scratch = pool.events(0);
-    const SliceKernel slice_kernel = pool.slice_kernel(options.kernel, 0);
+    const SliceKernel slice_kernel = pool.slice_kernel(0);
 
     auto tabulate_pair = [&](std::size_t a, std::size_t b) {
       if (options.stage1_hook) options.stage1_hook(a, b);
@@ -495,7 +495,7 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
     result.value = tabulate_slice_dense(s1, s2, col_events,
                                         SliceBounds{0, s1.length() - 1, 0, s2.length() - 1},
                                         workspace.dense_grid(0),
-                                        workspace.slice_kernel(options.kernel, 0), d2_lookup,
+                                        workspace.slice_kernel(0), d2_lookup,
                                         &result.stats);
   } else {
     result.value = tabulate_slice_compressed(idx1.all(), idx2.all(), workspace.events(0),

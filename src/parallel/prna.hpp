@@ -57,9 +57,6 @@ struct PrnaOptions {
   // Verify the ordering guarantee (memo initialized to the unset sentinel,
   // every d2 lookup checked). Test-suite use.
   bool validate_memo = false;
-  // Dense-slice kernel variant; each worker binds its own KernelScratch from
-  // the workspace pool (one per thread, like the slice grids).
-  KernelVariant kernel = KernelVariant::kAuto;
   // kStealing only: run stage one on plain std::thread workers instead of an
   // OpenMP parallel region. ThreadSanitizer cannot see libgomp's internal
   // synchronization (every OpenMP region is a false positive), so

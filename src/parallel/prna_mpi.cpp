@@ -74,6 +74,8 @@ PrnaMpiResult prna_mpi(const SecondaryStructure& s1, const SecondaryStructure& s
     EventScratch compressed_scratch;
     ColumnEvents col_events;
     col_events.build(s2);  // per rank: replicated like the memo table
+    KernelScratch kernel_scratch;
+    const SliceKernel kernel{&kernel_scratch};
     for (std::size_t a = 0; a < idx1.size(); ++a) {
       const Arc arc1 = idx1.arc(a);
       for (const std::size_t b : owned) {
@@ -83,7 +85,7 @@ PrnaMpiResult prna_mpi(const SecondaryStructure& s1, const SecondaryStructure& s
           value = tabulate_slice_dense(
               s1, s2, col_events,
               SliceBounds::under(arc1.left, arc1.right, arc2.left, arc2.right),
-              dense_scratch, d2_lookup, &stats);
+              dense_scratch, kernel, d2_lookup, &stats);
         } else {
           value = tabulate_slice_compressed(idx1.interior(a), idx2.interior(b),
                                             compressed_scratch, d2_lookup, &stats);
@@ -108,7 +110,7 @@ PrnaMpiResult prna_mpi(const SecondaryStructure& s1, const SecondaryStructure& s
       rank_values[rank] =
           tabulate_slice_dense(s1, s2, col_events,
                                SliceBounds{0, s1.length() - 1, 0, s2.length() - 1},
-                               dense_scratch, d2_lookup, rank == 0 ? &stats : nullptr);
+                               dense_scratch, kernel, d2_lookup, rank == 0 ? &stats : nullptr);
     } else {
       rank_values[rank] = tabulate_slice_compressed(idx1.all(), idx2.all(), compressed_scratch,
                                                     d2_lookup, rank == 0 ? &stats : nullptr);

@@ -54,15 +54,20 @@ class WorkStealingDeque {
     SRNA_DASSERT(b - top_.load(std::memory_order_acquire) <
                  static_cast<std::int64_t>(capacity_));
     buffer_[static_cast<std::size_t>(b & mask_)].store(item, std::memory_order_relaxed);
-    // Publish the element before the new bottom becomes visible to thieves.
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    // Publish the element, and everything the owner did before pushing it,
+    // to the thief whose acquire load reads this bottom. A release store
+    // rather than a release fence plus a relaxed store: same ordering, but
+    // ThreadSanitizer does not model fences, so only this form shows it the
+    // edge from the pushing worker to the stealing one.
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   // Owner only: pop from the hot end. False when empty.
   bool pop(std::uint32_t& item) noexcept {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    bottom_.store(b, std::memory_order_relaxed);
+    // Release, like push: a thief that reads this bottom still takes an
+    // element an earlier push published.
+    bottom_.store(b, std::memory_order_release);
     // The seq_cst fence orders the bottom decrement against the thief's top
     // read — the crux of Chase-Lev's owner/thief race on the last element.
     std::atomic_thread_fence(std::memory_order_seq_cst);

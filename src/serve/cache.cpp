@@ -61,6 +61,15 @@ std::optional<Score> ResultCache::get(const CacheKey& key) {
   return it->second.value;
 }
 
+std::optional<Score> ResultCache::peek(const CacheKey& key) const {
+  if (capacity_ == 0) return std::nullopt;
+  const Shard& shard = shard_for(key);
+  std::lock_guard lock(shard.mutex);
+  const auto it = shard.entries.find(key);
+  if (it == shard.entries.end()) return std::nullopt;
+  return it->second.value;
+}
+
 void ResultCache::put(CacheKey key, Score value) {
   if (capacity_ == 0) return;
   Shard& shard = shard_for(key);

@@ -75,6 +75,10 @@ class ResultCache {
   // Looks up `key`, refreshing its recency on a hit.
   [[nodiscard]] std::optional<Score> get(const CacheKey& key);
 
+  // Looks up `key` without touching recency or the hit/miss counters: the
+  // second look of a caller whose get() already counted the miss.
+  [[nodiscard]] std::optional<Score> peek(const CacheKey& key) const;
+
   // Inserts (or refreshes) key -> value, evicting the shard's least recently
   // used entry when the shard is at capacity. No-op when capacity == 0.
   void put(CacheKey key, Score value);

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include "serve/admin.hpp"
+#include "serve/line_reader.hpp"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -205,21 +206,15 @@ void TcpServer::serve_connection(std::shared_ptr<Connection> conn) {
     }
   };
 
-  std::string buffer;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;  // peer closed or server stopping
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      start = nl + 1;
-      if (!line.empty()) handler_(line, emit);
-    }
-    buffer.erase(0, start);
+  // Runs until the peer closes or the server stops. A line past the cap
+  // gets one error answer, shaped like a parse error, and the connection
+  // is closed: nothing after an unterminated megabyte can be framed.
+  if (read_lines(conn->fd, [&](const std::string& line) { handler_(line, emit); }) ==
+      ReadEnd::kOverflow) {
+    ServeResponse resp;
+    resp.status = ResponseStatus::kError;
+    resp.error = "request line exceeds " + std::to_string(kMaxLineBytes) + " bytes";
+    emit(resp.to_line());
   }
   // Half-close only: late worker callbacks may still hold the Connection and
   // attempt a send (which now fails cleanly). The fd itself is closed by the

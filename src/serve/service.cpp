@@ -85,7 +85,10 @@ void DeadlineMonitor::run() {
     if (heap_.empty()) {
       wake_.wait(lock, [&] { return stopping_ || !heap_.empty(); });
     } else {
-      wake_.wait_until(lock, heap_.front().deadline);
+      // By value: wait_until reads the deadline again after waking, and a
+      // watch() that grows heap_ meanwhile would leave a reference dangling.
+      const Clock::time_point next = heap_.front().deadline;
+      wake_.wait_until(lock, next);
     }
   }
 }
@@ -268,7 +271,7 @@ void QueryService::process(Job job) {
   obs::Registry::instance().histogram("serve.queue_wait").observe(
       std::max(1e-9, seconds_between(job.admitted, picked_up)));
   // Stored on the job because a parked job is answered later, by its flight
-  // or batch leader, which must echo this job's own queue timing.
+  // leader, which must echo this job's own queue timing.
   job.queued_ms = ms_between(job.admitted, picked_up);
 
   // Everything recorded while this worker owns the request — including spans
@@ -286,7 +289,6 @@ void QueryService::process(Job job) {
   const double queued_ms = job.queued_ms;
   ServeResponse response;
   bool parked = false;
-  std::vector<Job> batch_members;
   if (picked_up >= job.deadline) {
     // Expired while queued: answer without burning a solve on it.
     obs::Registry::instance().counter("serve.deadline_queue_expirations").add();
@@ -294,44 +296,18 @@ void QueryService::process(Job job) {
     response.status = ResponseStatus::kTimeout;
     response.error = "deadline expired while queued";
   } else {
-    response = solve_job(job, parked, batch_members);
+    response = solve_job(job, parked);
   }
   if (!parked) {
     response.trace_id = trace_id;
     response.queued_ms = queued_ms;
     respond(job, std::move(response));
   }
-  // Members collected while this job led a batch window run back-to-back on
-  // this thread — against its warm per-thread workspace — after the leader's
-  // own answer went out.
-  for (Job& member : batch_members) run_batch_member(std::move(member));
 
   const Clock::time_point finished = Clock::now();
   worker_busy_us_.fetch_add(
       static_cast<std::uint64_t>(1e6 * seconds_between(picked_up, finished)),
       std::memory_order_relaxed);
-}
-
-void QueryService::run_batch_member(Job job) {
-  job.no_batch = true;  // one accumulation window per request, ever
-  obs::TraceContextScope trace_scope(job.trace_id);
-  ServeResponse response;
-  bool parked = false;
-  std::vector<Job> no_members;  // no_batch ⇒ solve_job never fills this
-  if (Clock::now() >= job.deadline) {
-    obs::Registry::instance().counter("serve.deadline_queue_expirations").add();
-    response.id = job.request.id;
-    response.status = ResponseStatus::kTimeout;
-    response.error = "deadline expired while batched";
-  } else {
-    batched_solves_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("serve.batched_solves").add();
-    response = solve_job(job, parked, no_members);
-  }
-  if (parked) return;  // joined an in-flight duplicate; that leader answers it
-  response.trace_id = job.trace_id;
-  response.queued_ms = job.queued_ms;
-  respond(job, std::move(response));
 }
 
 void QueryService::finish_flight(const std::string& key,
@@ -358,8 +334,7 @@ void QueryService::finish_flight(const std::string& key,
   }
 }
 
-ServeResponse QueryService::solve_job(Job& job, bool& parked,
-                                      std::vector<Job>& batch_members) {
+ServeResponse QueryService::solve_job(Job& job, bool& parked) {
   const ServeRequest& req = job.request;
   ServeResponse resp;
   resp.id = req.id;
@@ -408,6 +383,12 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
     const auto normalized = [&](Score value) {
       return denom > 0 ? 2.0 * static_cast<double>(value) / denom : 1.0;
     };
+    const auto answer_from_cache = [&](Score value) {
+      resp.status = ResponseStatus::kOk;
+      resp.value = value;
+      resp.normalized = normalized(value);
+      resp.cache_hit = true;
+    };
 
     const std::string fingerprint = config_fingerprint(algorithm, config);
     CacheKey key = CacheKey::make(a, b, fingerprint);
@@ -418,52 +399,8 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
         cache_span.set_args(obs::trace_args({{"hit", hit.has_value() ? 1 : 0}}));
       cache_span.close();
       if (hit) {
-        resp.status = ResponseStatus::kOk;
-        resp.value = *hit;
-        resp.normalized = normalized(*hit);
-        resp.cache_hit = true;
+        answer_from_cache(*hit);
         return resp;
-      }
-    }
-
-    // Shared-structure batching: the first miss for a structure A sleeps out
-    // the accumulation window while later misses sharing A park behind it;
-    // the leader then runs the members sequentially on its thread (via
-    // process(), after its own answer). no_cache requests skip this — they
-    // demand a fresh, immediate solve.
-    if (config_.batch_window_ms > 0 && !req.no_cache && !job.no_batch) {
-      const std::string batch_key = digest_hex(hash_structure(a)) + "|" + fingerprint;
-      bool batch_leader = false;
-      {
-        std::lock_guard lock(coalesce_mutex_);
-        auto [it, inserted] = batches_.try_emplace(batch_key);
-        if (inserted)
-          batch_leader = true;
-        else
-          it->second.members.push_back(std::move(job));
-      }
-      if (!batch_leader) {
-        parked = true;
-        return resp;
-      }
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          config_.batch_window_ms));
-      {
-        std::lock_guard lock(coalesce_mutex_);
-        const auto it = batches_.find(batch_key);
-        if (it != batches_.end()) {
-          batch_members = std::move(it->second.members);
-          batches_.erase(it);
-        }
-      }
-      if (!batch_members.empty()) {
-        batch_groups_.fetch_add(1, std::memory_order_relaxed);
-        obs::Registry::instance().counter("serve.batch_groups").add();
-        obs::log_debug(
-            "serve.batch_group",
-            obs::log_fields({{"id", obs::Json(req.id)},
-                             {"members", obs::Json(static_cast<std::uint64_t>(
-                                             batch_members.size()))}}));
       }
     }
 
@@ -488,6 +425,15 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
         coalesced_.fetch_add(1, std::memory_order_relaxed);
         obs::Registry::instance().counter("serve.coalesced_requests").add();
         parked = true;
+        return resp;
+      }
+      // A previous leader for this key may have published its result and
+      // retired its flight between our cache miss and our registration (its
+      // put precedes its retirement, which precedes our registration), so
+      // one more look closes that window: a duplicate never solves twice.
+      if (const std::optional<Score> hit = cache_.peek(key)) {
+        answer_from_cache(*hit);
+        finish_flight(flight_key, resp);
         return resp;
       }
     }
@@ -587,9 +533,9 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
     resp.error = e.what();
   }
   // Fan the leader's outcome — whatever it is — out to parked duplicates.
-  // Runs after the cache put above, so a follower-turned-new-leader race
-  // (miss before the put, join after the erase) can only cost a redundant
-  // solve, never a wrong or missing answer.
+  // Runs after the cache put above, so a duplicate that missed the cache
+  // before the put and registers after this retires the flight finds the
+  // value on its second look (above) instead of solving again.
   if (flight_leader) finish_flight(flight_key, resp);
   return resp;
 }
@@ -664,8 +610,6 @@ obs::Json QueryService::stats_json() const {
   doc.set("responses_over_memory",
           obs::Json(responses_over_memory_.load(std::memory_order_relaxed)));
   doc.set("coalesced_requests", obs::Json(coalesced_.load(std::memory_order_relaxed)));
-  doc.set("batched_solves", obs::Json(batched_solves_.load(std::memory_order_relaxed)));
-  doc.set("batch_groups", obs::Json(batch_groups_.load(std::memory_order_relaxed)));
   doc.set("memory_budget_bytes", obs::Json(config_.memory_budget_bytes));
   doc.set("memory_reserved_bytes",
           obs::Json(memory_reserved_.load(std::memory_order_relaxed)));

@@ -20,12 +20,6 @@
 //               and are fanned the leader's outcome (their own ids/trace ids,
 //               `coalesced: true`). One solve, N answers — the shared-
 //               structure analogue of the cache for in-flight misses.
-//   batching    with ServiceConfig::batch_window_ms > 0, the first cache-miss
-//               for a given structure A (+ config) sleeps the window while
-//               other workers park later misses sharing that A; the leader
-//               then executes the members back-to-back on its thread, so a
-//               shared-structure burst runs against one warm workspace
-//               instead of bouncing across the pool.
 //   memory      with ServiceConfig::memory_budget_bytes set, the worker asks
 //               the backend for its resident-byte upper bound and reserves it
 //               against the process-wide budget (atomic CAS) before solving —
@@ -53,10 +47,8 @@
 // serve.memory_reserved_bytes / serve.memory_reserved_peak_bytes (gauges:
 // the admission budget, the live in-flight reservation sum, and its
 // high-water mark), serve.deadline_{queue,solve}_
-// expirations, serve.cache_{hits,misses,evictions}, serve.coalesced_requests /
-// serve.batched_solves / serve.batch_groups (duplicate misses answered by a
-// flight leader; member solves executed by batch leaders; non-empty batch
-// groups formed), serve.queue_depth
+// expirations, serve.cache_{hits,misses,evictions}, serve.coalesced_requests
+// (duplicate misses answered by a flight leader), serve.queue_depth
 // (gauge), serve.queue_wait / serve.solve_seconds / serve.request_latency
 // (histograms), serve.latency_ms_window / serve.solve_ms_window (sliding
 // windows feeding the admin endpoint's live p50/p95/p99), serve.worker_busy_us.
@@ -151,15 +143,6 @@ struct ServiceConfig {
   // crowded out by concurrent solves carries retry_after_ms. Cache hits and
   // name resolution never reserve — only the solve itself does.
   std::uint64_t memory_budget_bytes = 0;
-  // Shared-structure batch accumulation window (0 = off). The first
-  // cache-missed request for a structure A (+ solver config) waits this long
-  // for later misses sharing A to park behind it, then executes the whole
-  // group sequentially on one worker (warm per-thread workspace, no
-  // cross-worker bouncing). A burst of (A, B_i) queries pays one window of
-  // added latency on the leader in exchange for locality; keep it well under
-  // request deadlines. Exact duplicates are already deduplicated by the
-  // always-on single-flight coalescing regardless of this setting.
-  double batch_window_ms = 0;
   // Optional name-resolution corpus for a_name/b_name requests. Not owned;
   // must outlive the service and must not be mutated while serving (lookups
   // run concurrently on workers).
@@ -227,9 +210,6 @@ class QueryService {
     std::uint64_t trace_id = 0;   // service-assigned, echoed in the response
     std::uint64_t admitted_us = 0;  // tracer timestamp at admission (traced requests)
     double queued_ms = 0.0;  // admission -> first worker pickup, set at pickup
-    // Set on batch members re-executed by their leader so they cannot park
-    // into a second accumulation window.
-    bool no_batch = false;
   };
 
   // A single-flight entry: jobs that cache-missed on a (pair, config) some
@@ -238,24 +218,13 @@ class QueryService {
   struct Flight {
     std::vector<Job> followers;
   };
-  // A batch accumulation group: cache-missed jobs sharing structure A (+
-  // config) parked behind a leader sleeping out the batch window.
-  struct BatchGroup {
-    std::vector<Job> members;
-  };
 
   void worker_loop();
   void process(Job job);
-  // Solves job.request. When the job parked behind an in-flight duplicate or
-  // a batch leader instead, sets `parked` and returns a meaningless response —
-  // ownership of the job (and the duty to answer it) moved to that leader.
-  // When this job led a batch, its collected members are appended to
-  // `batch_members` for the caller to execute after responding to the leader.
-  [[nodiscard]] ServeResponse solve_job(Job& job, bool& parked,
-                                        std::vector<Job>& batch_members);
-  // Runs a parked batch member on the current (leader) thread: deadline
-  // check, solve, respond. The member may still coalesce into another flight.
-  void run_batch_member(Job job);
+  // Solves job.request. When the job parked behind an in-flight duplicate
+  // instead, sets `parked` and returns a meaningless response — ownership of
+  // the job (and the duty to answer it) moved to that flight's leader.
+  [[nodiscard]] ServeResponse solve_job(Job& job, bool& parked);
   // Pops the flight for `key` and answers every follower with the leader's
   // outcome (per-follower id / trace id / queue timing, coalesced = true).
   void finish_flight(const std::string& key, const ServeResponse& leader_response);
@@ -289,20 +258,16 @@ class QueryService {
   std::atomic<std::uint64_t> memory_reserved_{0};
   // Duplicate in-flight misses answered by a flight leader's solve.
   std::atomic<std::uint64_t> coalesced_{0};
-  // Member solves executed by batch leaders / non-empty groups formed.
-  std::atomic<std::uint64_t> batched_solves_{0};
-  std::atomic<std::uint64_t> batch_groups_{0};
   std::atomic<std::uint64_t> worker_busy_us_{0};
   // EWMA of solve seconds, for the retry-after hint (stored as double bits).
   std::atomic<std::uint64_t> solve_ewma_bits_{0};
   std::chrono::steady_clock::time_point started_;
   bool drained_ = false;
   std::mutex drain_mutex_;
-  // Guards inflight_ and batches_. Held only for map insert/extract — never
-  // across a solve or a callback — so it cannot deadlock against workers.
+  // Guards inflight_. Held only for map insert/extract — never across a
+  // solve or a callback — so it cannot deadlock against workers.
   std::mutex coalesce_mutex_;
-  std::unordered_map<std::string, Flight> inflight_;   // digest|fingerprint
-  std::unordered_map<std::string, BatchGroup> batches_;  // digest(A)|fingerprint
+  std::unordered_map<std::string, Flight> inflight_;  // digest|fingerprint
 };
 
 // The cache-key fingerprint of everything outside the structure pair that

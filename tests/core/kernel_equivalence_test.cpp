@@ -1,11 +1,11 @@
-// Randomized equivalence of the slice kernels: the event-run dense kernel,
-// the batched variants (kSimd, kFourRussians), the per-cell reference fill
-// they are all pinned against (fill_slice_dense_reference, kept exactly for
-// this test and the perf gate), and the compressed event-grid layout. Every
-// dense kernel must be a pure strength reduction — same F, same
-// cells_tabulated, same arc_match_events — and the compressed layout must
-// agree on F (its cell accounting differs by design: one cell per event
-// pair, not per position).
+// Randomized equivalence of the slice kernels: the dense kernel, the
+// per-cell reference fill it is pinned against (fill_slice_dense_reference,
+// kept exactly for this test and the perf gate), and the compressed
+// event-grid layout. The dense kernel must be a pure strength reduction —
+// same F, same cells_tabulated, same arc_match_events — and the compressed
+// layout must agree on F (its cell accounting differs by design: one cell
+// per event pair, not per position). Under -DSRNA_DISABLE_SIMD the same
+// cases pin the kernel's scalar instantiation.
 
 #include <gtest/gtest.h>
 
@@ -21,30 +21,8 @@ namespace {
 
 using testing::db;
 
-// Every dense kernel variant, including the default resolution of kAuto.
-constexpr KernelVariant kAllVariants[] = {KernelVariant::kAuto, KernelVariant::kEventRun,
-                                          KernelVariant::kSimd,
-                                          KernelVariant::kFourRussians};
-
-// A SliceKernel over local state, as Workspace::slice_kernel builds one.
-struct LocalKernel {
-  KernelScratch scratch;
-  FourRussiansTable table;
-
-  SliceKernel bind(KernelVariant variant) {
-    SliceKernel kernel;
-    kernel.variant = resolve_kernel_variant(variant);
-    kernel.scratch = &scratch;
-    if (kernel.variant == KernelVariant::kFourRussians) {
-      table.build();
-      kernel.table = &table;
-    }
-    return kernel;
-  }
-};
-
 // SRNA2 driven entirely by the per-cell reference fill: the exact loop the
-// event-run kernel is pinned against, stage one and stage two included.
+// dense kernel is pinned against, stage one and stage two included.
 McosResult solve_with_reference_kernel(const SecondaryStructure& s1,
                                        const SecondaryStructure& s2) {
   McosResult result;
@@ -87,22 +65,13 @@ TEST(KernelEquivalence, EventRunMatchesReferenceAndCompressedOnRandomPairs) {
 
         const McosResult reference = solve_with_reference_kernel(s1, s2);
 
-        // Every dense kernel variant is accounting-identical to the
-        // per-cell loop.
-        for (const KernelVariant variant : kAllVariants) {
-          McosOptions dense_opt;  // defaults: dense layout
-          dense_opt.kernel = variant;
-          const McosResult dense = srna2(s1, s2, dense_opt);
-          ASSERT_EQ(dense.value, reference.value)
-              << kernel_variant_name(variant) << " n=" << n << " density=" << density
-              << " seed=" << seed;
-          ASSERT_EQ(dense.stats.cells_tabulated, reference.stats.cells_tabulated)
-              << kernel_variant_name(variant);
-          ASSERT_EQ(dense.stats.arc_match_events, reference.stats.arc_match_events)
-              << kernel_variant_name(variant);
-          ASSERT_EQ(dense.stats.slices_tabulated, reference.stats.slices_tabulated)
-              << kernel_variant_name(variant);
-        }
+        // The dense kernel is accounting-identical to the per-cell loop.
+        const McosResult dense = srna2(s1, s2, McosOptions{});  // dense layout
+        ASSERT_EQ(dense.value, reference.value)
+            << "n=" << n << " density=" << density << " seed=" << seed;
+        ASSERT_EQ(dense.stats.cells_tabulated, reference.stats.cells_tabulated);
+        ASSERT_EQ(dense.stats.arc_match_events, reference.stats.arc_match_events);
+        ASSERT_EQ(dense.stats.slices_tabulated, reference.stats.slices_tabulated);
 
         McosOptions compressed_opt;
         compressed_opt.layout = SliceLayout::kCompressed;
@@ -119,9 +88,9 @@ TEST(KernelEquivalence, AllVariantGridsAreCellIdenticalToReference) {
   // Stronger than the F check: the whole parent grid, cell by cell (the
   // traceback and enumeration read interior cells, not just the corner).
   // The position-dependent fake d2 is deliberately NOT a true DP oracle —
-  // its deltas violate the arc-match increment bound, so this sweep also
-  // drives the Four-Russians out-of-bound scalar fallback.
-  LocalKernel local;
+  // its deltas violate the arc-match increment bound, so the kernel must
+  // be exact for arbitrary oracles, not just for memo reads.
+  KernelScratch scratch;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const auto s1 = random_structure(30, 0.6, 500 + seed);
     const auto s2 = random_structure(28, 0.6, 600 + seed);
@@ -138,30 +107,28 @@ TEST(KernelEquivalence, AllVariantGridsAreCellIdenticalToReference) {
 
     ColumnEvents col_events;
     col_events.build(s2);
-    for (const KernelVariant variant : kAllVariants) {
-      Matrix<Score> actual;
-      McosStats actual_stats;
-      fill_slice_dense(s1, s2, col_events, bounds, actual, local.bind(variant), fake_d2,
-                       &actual_stats);
+    Matrix<Score> actual;
+    McosStats actual_stats;
+    fill_slice_dense(s1, s2, col_events, bounds, actual, SliceKernel{&scratch}, fake_d2,
+                     &actual_stats);
 
-      ASSERT_EQ(actual.rows(), expected.rows());
-      ASSERT_EQ(actual.cols(), expected.cols());
-      for (std::size_t r = 0; r < expected.rows(); ++r)
-        for (std::size_t c = 0; c < expected.cols(); ++c)
-          ASSERT_EQ(actual(r, c), expected(r, c))
-              << kernel_variant_name(variant) << " seed=" << seed << " cell (" << r
-              << ", " << c << ")";
-      EXPECT_EQ(actual_stats.cells_tabulated, expected_stats.cells_tabulated);
-      EXPECT_EQ(actual_stats.arc_match_events, expected_stats.arc_match_events);
-    }
+    ASSERT_EQ(actual.rows(), expected.rows());
+    ASSERT_EQ(actual.cols(), expected.cols());
+    for (std::size_t r = 0; r < expected.rows(); ++r)
+      for (std::size_t c = 0; c < expected.cols(); ++c)
+        ASSERT_EQ(actual(r, c), expected(r, c))
+            << "seed=" << seed << " cell (" << r << ", " << c << ")";
+    EXPECT_EQ(actual_stats.cells_tabulated, expected_stats.cells_tabulated);
+    EXPECT_EQ(actual_stats.arc_match_events, expected_stats.arc_match_events);
   }
 }
 
 TEST(KernelEquivalence, VariantsHandleEventFreeAndSingleEventRows) {
-  // Edge geometry the batched kernels special-case: slices whose column
-  // range contains zero events (whole rows become one constant run) and
-  // ranges with fewer events than a Four-Russians block (remainder chain).
-  LocalKernel local;
+  // Edge geometry the kernel special-cases: slices whose column range
+  // contains zero events (whole rows become one constant run), and ranges
+  // with a single event or fewer events than one vector block (the scalar
+  // remainder legs).
+  KernelScratch scratch;
   const auto s1 = random_structure(20, 0.5, 7);
   const auto s2 = random_structure(22, 0.3, 9);
   ColumnEvents col_events;
@@ -173,16 +140,13 @@ TEST(KernelEquivalence, VariantsHandleEventFreeAndSingleEventRows) {
       const SliceBounds b{0, s1.length() - 1, lo2, hi2};
       Matrix<Score> expected;
       fill_slice_dense_reference(s1, s2, b, expected, zero);
-      for (const KernelVariant variant : kAllVariants) {
-        Matrix<Score> actual;
-        fill_slice_dense(s1, s2, col_events, b, actual, local.bind(variant), zero);
-        ASSERT_EQ(actual.rows(), expected.rows());
-        ASSERT_EQ(actual.cols(), expected.cols());
-        for (std::size_t r = 0; r < expected.rows(); ++r)
-          for (std::size_t c = 0; c < expected.cols(); ++c)
-            ASSERT_EQ(actual(r, c), expected(r, c))
-                << kernel_variant_name(variant) << " lo2=" << lo2 << " hi2=" << hi2;
-      }
+      Matrix<Score> actual;
+      fill_slice_dense(s1, s2, col_events, b, actual, SliceKernel{&scratch}, zero);
+      ASSERT_EQ(actual.rows(), expected.rows());
+      ASSERT_EQ(actual.cols(), expected.cols());
+      for (std::size_t r = 0; r < expected.rows(); ++r)
+        for (std::size_t c = 0; c < expected.cols(); ++c)
+          ASSERT_EQ(actual(r, c), expected(r, c)) << "lo2=" << lo2 << " hi2=" << hi2;
     }
   }
 }

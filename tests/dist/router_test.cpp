@@ -5,6 +5,7 @@
 //   * routed response bytes equal direct-serving bytes (modulo trace/timing)
 //   * the canonical pair digest rides every response, routed or not
 //   * exactly one response per accepted request across a shard kill
+//   * a shard line past the reader's cap fails over like a dead link
 //   * explicit retryable rejection when no shard can answer
 //   * deterministic routing verdicts (route_of)
 #include "dist/router.hpp"
@@ -27,6 +28,7 @@
 #include "rna/generators.hpp"
 #include "rna/structure_hash.hpp"
 #include "serve/admin.hpp"
+#include "serve/line_reader.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -284,6 +286,54 @@ TEST(Router, ExactlyOneResponsePerRequestAcrossAShardKill) {
     ASSERT_TRUE(responses.count(i) == 1) << "id " << i;
     EXPECT_EQ(responses[i].status, serve::ResponseStatus::kOk) << "id " << i;
   }
+
+  front.stop();
+  router.stop();
+}
+
+TEST(Router, OverlongShardLineFailsOverLikeADeadLink) {
+  Shard good("good");
+  // Answers every request with a line one byte past the reader's cap. Its
+  // admin listener (a real service) keeps it probe-ready, so the router
+  // keeps choosing it and must fail over each time.
+  Shard babbler("babbler");
+  babbler.server = std::make_unique<serve::TcpServer>(
+      [](const std::string&, const serve::TcpServer::EmitLine& emit) {
+        emit(std::string(serve::kMaxLineBytes + 1, 'x'));
+      },
+      "127.0.0.1", 0);
+  babbler.address.data = {"127.0.0.1", babbler.server->port()};
+
+  RouterConfig config = fast_probe_config({good.address, babbler.address});
+  // Only the overflow path can re-home a request in time: an attempt
+  // timeout, or an idle link's receive timeout (connect_timeout_ms), would
+  // outlast the client's 15 s receive timeout.
+  config.request_timeout_ms = 60000;
+  config.connect_timeout_ms = 30000;
+  Router router(config);
+  serve::TcpServer front(
+      [&router](const std::string& line, const serve::TcpServer::EmitLine& emit) {
+        router.handle_line(line, emit);
+      },
+      "127.0.0.1", 0);
+  LineClient client(front.port());
+  ASSERT_TRUE(client.connected());
+
+  // Distinct pairs spread over both shards' ring ranges.
+  const std::vector<std::string> pool = test_structures(8);
+  constexpr std::int64_t kRequests = 16;
+  for (std::int64_t i = 0; i < kRequests; ++i) {
+    const std::optional<std::string> line = client.roundtrip(
+        request_line(i, pool[static_cast<std::size_t>(i) % pool.size()],
+                     pool[static_cast<std::size_t>(i / 2 + 3) % pool.size()]));
+    ASSERT_TRUE(line.has_value()) << "lost the response to id " << i;
+    const serve::ServeResponse resp = serve::ServeResponse::from_line(*line);
+    EXPECT_EQ(resp.id, i);
+    EXPECT_EQ(resp.status, serve::ResponseStatus::kOk) << resp.error;
+  }
+  const obs::Json stats = router.stats_json();
+  EXPECT_GT(stats.find("router")->find("failovers")->as_uint(), 0u)
+      << "no request ever reached the overlong shard";
 
   front.stop();
   router.stop();

@@ -50,21 +50,6 @@ TEST_P(BackendAgreement, AllRegisteredBackendsMatchTopdownReference) {
     EXPECT_EQ(r.value, expected)
         << backend->name() << " seed=" << seed
         << " layout=" << (layout == SliceLayout::kDense ? "dense" : "compressed");
-
-    // Backends honoring SolverConfig::kernel must agree under every explicit
-    // dense-slice kernel variant too — through the registry, exactly as a
-    // --kernel= CLI run dispatches.
-    if (backend->caps().kernel_variants) {
-      for (const KernelVariant variant :
-           {KernelVariant::kEventRun, KernelVariant::kSimd, KernelVariant::kFourRussians}) {
-        SolverConfig with_kernel = config;
-        with_kernel.kernel = variant;
-        const EngineResult kr = solve_with(*backend, s1, s2, with_kernel, workspace);
-        EXPECT_EQ(kr.value, expected)
-            << backend->name() << " kernel=" << kernel_variant_name(variant)
-            << " seed=" << seed;
-      }
-    }
   }
 
   // The lean backend again under a budget tight enough to force evictions

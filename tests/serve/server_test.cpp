@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "serve/line_reader.hpp"
 #include "serve/protocol.hpp"
 
 namespace srna::serve {
@@ -45,9 +47,11 @@ TEST(OfflineServer, OneResponsePerRequestLine) {
   ASSERT_EQ(responses.size(), 4u);
   EXPECT_EQ(responses.at(1).status, ResponseStatus::kOk);
   EXPECT_EQ(responses.at(2).status, ResponseStatus::kOk);
-  // Same pair as id 1: either id 1 finished first (cache hit) or id 2
-  // arrived while it was in flight (coalesced) — never a second solve.
-  EXPECT_TRUE(responses.at(2).cache_hit || responses.at(2).coalesced);
+  // Same pair twice, never a second solve: whichever of ids 1 and 2 a worker
+  // reached first solved it, and the other was a cache hit or coalesced onto
+  // that solve. (Workers pick up adjacent jobs in either order.)
+  const auto shared = [](const ServeResponse& r) { return r.cache_hit || r.coalesced; };
+  EXPECT_NE(shared(responses.at(1)), shared(responses.at(2)));
   // Malformed JSON cannot echo the request id (it was never parsed).
   EXPECT_EQ(responses.at(0).status, ResponseStatus::kError);
   EXPECT_NE(responses.at(0).error.find("unknown field"), std::string::npos);
@@ -72,6 +76,9 @@ class TestClient {
     addr.sin_port = htons(port);
     ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+    // A missing answer fails the test instead of hanging it.
+    const timeval timeout{15, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   }
   ~TestClient() {
     if (fd_ >= 0) ::close(fd_);
@@ -81,6 +88,24 @@ class TestClient {
     const std::string framed = line + "\n";
     ASSERT_EQ(::send(fd_, framed.data(), framed.size(), 0),
               static_cast<ssize_t>(framed.size()));
+  }
+
+  // Sends `bytes` as they are (no newline appended).
+  void send_raw(const std::string& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent, 0);
+      ASSERT_GT(n, 0);
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  // True when every byte the server sent has been read and it then closed
+  // the connection.
+  bool at_eof() {
+    if (!buffer_.empty()) return false;
+    char c = 0;
+    return ::recv(fd_, &c, 1, 0) == 0;
   }
 
   std::string read_line() {
@@ -125,6 +150,34 @@ TEST(TcpServer, ServesRequestsOnAnEphemeralPort) {
   const ServeResponse again = ServeResponse::from_line(client.read_line());
   EXPECT_EQ(again.status, ResponseStatus::kOk);
   EXPECT_TRUE(again.cache_hit);
+
+  server.stop();
+  service.drain();
+}
+
+TEST(TcpServer, OverlongLineGetsOneErrorThenEof) {
+  QueryService service({});
+  TcpServer server(service, "127.0.0.1", 0);
+  ServeRequest req;
+  req.id = 5;
+  req.a = "((..))";
+  req.b = "(..)";
+  {
+    // One byte past the cap and never a newline: one error line, shaped
+    // like a parse error, then the server closes the connection.
+    TestClient client(server.port());
+    client.send_raw(std::string(kMaxLineBytes + 1, 'x'));
+    const ServeResponse resp = ServeResponse::from_line(client.read_line());
+    EXPECT_EQ(resp.status, ResponseStatus::kError);
+    EXPECT_NE(resp.error.find("exceeds"), std::string::npos) << resp.error;
+    EXPECT_TRUE(client.at_eof());
+  }
+  // The server itself is unharmed: a new connection is served.
+  TestClient fresh(server.port());
+  fresh.send_line(req.to_line());
+  const ServeResponse ok = ServeResponse::from_line(fresh.read_line());
+  EXPECT_EQ(ok.id, 5);
+  EXPECT_EQ(ok.status, ResponseStatus::kOk);
 
   server.stop();
   service.drain();

@@ -445,33 +445,6 @@ TEST(QueryService, NoCacheRequestsNeverCoalesce) {
   EXPECT_EQ(g_gated_solves.load(), 2);
 }
 
-TEST(QueryService, BatchWindowGroupsSharedStructureMisses) {
-  ServiceConfig config;
-  config.workers = 4;
-  config.batch_window_ms = 250;  // generous: members only need to be picked up
-  QueryService service(config);
-
-  // Same A, different B: distinct pairs, so neither the cache nor the
-  // single-flight can merge them — only the batch window groups them.
-  const char* kA = "((..))";
-  const char* kBs[] = {"(..)", "((..))", "......"};
-  std::vector<std::future<ServeResponse>> futures;
-  for (int i = 0; i < 3; ++i)
-    futures.push_back(service.solve_async(literal_request(i + 1, kA, kBs[i])));
-
-  for (int i = 0; i < 3; ++i) {
-    const ServeResponse resp = futures[static_cast<std::size_t>(i)].get();
-    EXPECT_EQ(resp.status, ResponseStatus::kOk) << resp.error;
-    // Batched answers must agree with a direct engine solve of the same pair.
-    const EngineResult truth =
-        engine_solve("srna2", parse_dot_bracket(kA), parse_dot_bracket(kBs[i]));
-    EXPECT_EQ(resp.value, truth.value);
-  }
-  const obs::Json stats = service.stats_json();
-  EXPECT_GE(stats.find("batch_groups")->as_uint(), 1u);
-  EXPECT_GE(stats.find("batched_solves")->as_uint(), 1u);
-}
-
 TEST(QueryService, StatsJsonCarriesTheReportFields) {
   QueryService service({});
   (void)service.solve(literal_request(1, "((..))", "(..)"));

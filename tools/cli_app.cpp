@@ -57,8 +57,6 @@ int cmd_compare(const std::vector<std::string>& args, std::ostream& out, std::os
   CliParser cli("srna compare", "MCOS between two structures");
   cli.add_option("algorithm", McosEngine::instance().names_joined(" | "), "srna2");
   cli.add_option("layout", "dense | compressed", "dense");
-  cli.add_option("kernel", "dense-slice kernel: auto | event-run | simd | four-russians",
-                 "auto");
   cli.add_option("threads", "parallel stage one with this many threads (0 = sequential)", "0");
   cli.add_option("memory-budget",
                  "resident solver byte cap (srna-lean; 0 = unlimited)", "0");
@@ -81,7 +79,6 @@ int cmd_compare(const std::vector<std::string>& args, std::ostream& out, std::os
 
   SolverConfig config;
   if (cli.str("layout") == "compressed") config.layout = SliceLayout::kCompressed;
-  config.kernel = parse_kernel_variant(cli.str("kernel"));
   config.memory_budget_bytes = static_cast<std::uint64_t>(cli.integer("memory-budget"));
 
   if (cli.flag("weighted")) {
@@ -114,7 +111,6 @@ int cmd_compare(const std::vector<std::string>& args, std::ostream& out, std::os
     obs::Json opts = obs::Json::object();
     opts.set("algorithm", obs::Json(algorithm));
     opts.set("layout", obs::Json(cli.str("layout")));
-    opts.set("kernel", obs::Json(kernel_variant_name(config.kernel)));
     opts.set("threads", obs::Json(static_cast<std::int64_t>(threads)));
     if (config.memory_budget_bytes != 0)
       opts.set("memory_budget_bytes", obs::Json(config.memory_budget_bytes));

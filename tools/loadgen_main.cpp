@@ -60,8 +60,8 @@ struct Workload {
   std::uint64_t trace_sample = 0;  // trace every N-th request (0 = none)
   // Shared-structure mode: every request asks about the same structure A
   // (structures[0]) against a varying B — the clustering/serving pattern
-  // ("compare this query structure against the corpus") that batch
-  // accumulation and single-flight coalescing target.
+  // ("compare this query structure against the corpus") that the result
+  // cache and single-flight coalescing target.
   bool shared_structure = false;
 
   // The i-th request of the run, deterministic in (seed, i). Repeats draw
@@ -244,11 +244,7 @@ int main(int argc, char** argv) {
   cli.add_option("repeat-fraction", "fraction of requests repeating a hot pair", "0.25");
   cli.add_flag("shared-structure",
                "every request shares one structure A (B varies over the pool) — "
-               "the workload serve-side batching and coalescing target");
-  cli.add_option("batch-window-ms",
-                 "in-process service: shared-structure batch accumulation "
-                 "window (0 = off)",
-                 "0");
+               "the workload the serve-side cache and coalescing target");
   cli.add_option("deadline-ms", "per-request deadline (0 = none)", "0");
   cli.add_option("algorithm", "engine backend per request", "srna2");
   cli.add_option("trace-sample",
@@ -304,7 +300,7 @@ int main(int argc, char** argv) {
       endpoint_stats.push_back(std::make_unique<EndpointStats>());
 
     // In-process runs snapshot the service's own stats after drain (server-
-    // side coalescing/batching counters); null for remote runs.
+    // side cache and coalescing counters); null for remote runs.
     obs::Json service_stats;
 
     const Clock::time_point t0 = Clock::now();
@@ -349,7 +345,6 @@ int main(int argc, char** argv) {
       config.queue_capacity = static_cast<std::size_t>(cli.integer("queue-capacity"));
       config.cache.capacity = static_cast<std::size_t>(cli.integer("cache-entries"));
       config.memory_budget_bytes = static_cast<std::uint64_t>(cli.integer("memory-budget"));
-      config.batch_window_ms = cli.real("batch-window-ms");
       config.default_algorithm = workload.algorithm;
       serve::QueryService service(config);
 
@@ -436,14 +431,6 @@ int main(int argc, char** argv) {
               << "coalesced:   " << tally.coalesced << "\n"
               << "throughput:  " << throughput << " req/s over " << elapsed << " s\n"
               << "latency ms:  p50 " << p50 << "  p90 " << p90 << "  p99 " << p99 << "\n";
-    if (service_stats.is_object()) {
-      const obs::Json* batched = service_stats.find("batched_solves");
-      const obs::Json* groups = service_stats.find("batch_groups");
-      if (batched != nullptr && groups != nullptr &&
-          (batched->as_uint() > 0 || groups->as_uint() > 0))
-        std::cout << "batching:    " << groups->as_uint() << " groups, "
-                  << batched->as_uint() << " member solves run by leaders\n";
-    }
     if (!tally.server_queued_ms.empty())
       std::cout << "server ms:   queued p50 " << percentile(tally.server_queued_ms, 0.50)
                 << "  p99 " << percentile(tally.server_queued_ms, 0.99) << "  |  solve p50 "
@@ -477,7 +464,6 @@ int main(int argc, char** argv) {
       params.set("length", obs::Json(static_cast<std::int64_t>(length)));
       params.set("repeat_fraction", obs::Json(workload.repeat_fraction));
       params.set("shared_structure", obs::Json(workload.shared_structure));
-      params.set("batch_window_ms", obs::Json(cli.real("batch-window-ms")));
       params.set("algorithm", obs::Json(workload.algorithm));
       params.set("deadline_ms", obs::Json(workload.deadline_ms));
       params.set("transport", obs::Json(endpoints.empty() ? "in-process" : "tcp"));
@@ -535,8 +521,8 @@ int main(int argc, char** argv) {
         results.set("per_endpoint", std::move(per_endpoint));
       }
       report.set("results", std::move(results));
-      // Server-side view (in-process runs): includes the coalescing and
-      // batching counters the shared-structure workload exists to exercise.
+      // Server-side view (in-process runs): includes the cache and coalescing
+      // counters the shared-structure workload exists to exercise.
       if (service_stats.is_object()) report.set("service", std::move(service_stats));
       report.add_metrics_snapshot();
       const std::string target =

@@ -62,12 +62,6 @@ int main(int argc, char** argv) {
                  "cap on summed estimated solver bytes in flight; over-budget "
                  "requests get status over_memory_budget (0 = unlimited)",
                  "0");
-  cli.add_option("batch-window-ms",
-                 "shared-structure batch accumulation window: the first cache "
-                 "miss for a structure A waits this long for later misses "
-                 "sharing A, then one worker runs the group back-to-back "
-                 "(0 = off)",
-                 "0");
   cli.add_option("algorithm", "default engine backend", "srna2");
   cli.add_flag("trace-live",
                "keep the span tracer enabled for the life of the process and "
@@ -106,7 +100,6 @@ int main(int argc, char** argv) {
     config.cache.shards = static_cast<std::size_t>(cli.integer("cache-shards"));
     config.default_deadline_ms = cli.real("deadline-ms");
     config.memory_budget_bytes = static_cast<std::uint64_t>(cli.integer("memory-budget"));
-    config.batch_window_ms = cli.real("batch-window-ms");
     config.default_algorithm = cli.str("algorithm");
     config.flight.capacity = static_cast<std::size_t>(cli.integer("flight-records"));
     config.flight.slow_ms = cli.real("flight-slow-ms");
