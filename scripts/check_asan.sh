@@ -7,9 +7,11 @@
 # configures a separate build tree (build-asan/) with
 # -DSRNA_SANITIZE=address,undefined and runs the `asan`-labelled ctest
 # suites:
-#   * core_tests     — the DP recurrence, slice tabulation, both solvers,
+#   * core_tests     — the DP recurrence, slice tabulation, both solvers, and
+#                      the one checkpoint loader under truncated, flipped and
+#                      padded files (CheckpointFuzz.*),
 #   * memstore_tests — the windowed memo store and the space-lean solver:
-#                      row eviction/rematerialization and checkpoint replay
+#                      row eviction/rematerialization and checkpoint resume
 #                      are exactly the use-after-free shapes ASan exists for,
 #   * engine_tests   — registry dispatch, workspace pooling, backend
 #                      agreement across layouts, budget-driven trimming,
@@ -23,8 +25,9 @@
 # instantiation of the one dense slice kernel is the sanitized path by
 # contract (intrinsics hide byte-level accesses from the instrumentation).
 # Every dense caller — srna1/srna2/prna, checkpoint-resume, prna-mpi-sim,
-# traceback and enumeration — runs that kernel, and the kernel-equivalence
-# suite pins its SIMD legs bit-identical to the scalar code this run vets.
+# traceback, enumeration and the srna-lean row stream — runs that kernel,
+# and the kernel-equivalence suite pins its SIMD legs bit-identical to the
+# scalar code this run vets.
 #
 # Usage: scripts/check_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail

@@ -70,11 +70,13 @@ SHARD0_PID=$(python3 -c "import json,sys; print(json.load(open(sys.argv[1]))['sh
 SHARD0_DATA=$(python3 -c "import json,sys; print(json.load(open(sys.argv[1]))['shards'][0]['data'])" "$STATUS")
 echo "router on 127.0.0.1:$PORT, shard0 pid $SHARD0_PID at $SHARD0_DATA"
 
-# Big enough that the kill below always lands mid-run (hundreds of
-# multi-millisecond solves), small enough to stay a smoke test.
+# Big enough that the kill below always lands mid-run (thousands of
+# multi-millisecond solves), small enough to stay a smoke test. 500 requests
+# were too few: an idle 4-core host answered them in 0.35 s, inside the
+# 0.4 s before the kill.
 # --trace-sample=5: every 5th request asks to be traced, which is what makes
 # shards record solve spans and responses carry the router hop fields.
-"$LOADGEN" --requests=500 --concurrency=4 --length=400 --structures=64 \
+"$LOADGEN" --requests=2000 --concurrency=4 --length=400 --structures=64 \
   --seed=7 --trace-sample=5 --connect="127.0.0.1:$PORT" \
   --output="$WORK/report.json" >"$WORK/loadgen.log" 2>&1 &
 LOAD_PID=$!

@@ -12,15 +12,16 @@
 # `ubsan`-labelled ctest suites:
 #   * core_tests     — the DP recurrence and slice tabulation index math,
 #   * memstore_tests — windowed-store byte accounting, budget floors, and the
-#                      streaming checkpoint offsets of the space-lean solver,
+#                      space-lean solver's checkpoint resume through the one
+#                      checkpoint loader (its offset and count arithmetic),
 #   * engine_tests   — workspace byte accounting and dispatch,
 #   * obs_tests      — counters, histograms, JSON numerics, the counter stub,
 #                      and the critical-path analyzer.
 #
 # Configured with -DSRNA_DISABLE_SIMD=ON so the scalar instantiation of the
-# one dense slice kernel — what every dense caller runs, pinned bit-identical
-# to the SIMD legs by the kernel-equivalence suite — is the path UBSan
-# instruments.
+# one dense slice kernel — what every dense caller and the srna-lean row
+# stream run, pinned bit-identical to the SIMD legs by the
+# kernel-equivalence suite — is the path UBSan instruments.
 #
 # Usage: scripts/check_ubsan.sh [build-dir]   (default: build-ubsan)
 set -euo pipefail

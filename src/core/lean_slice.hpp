@@ -14,14 +14,15 @@
 // currently-open arc): O((2 + nesting depth) × height) score state instead
 // of O(width × height).
 //
+// Only the row storage differs from fill_slice_dense: each arc row runs the
+// dense kernel's own row routine (detail::fill_arc_row) over these rows, so
+// scores, the d2 call sequence and the cell and event counts are identical,
+// and so are the tracebacks derived from them.
+//
 // The same sweep drives the lean traceback: a RowVisitor observes every
 // finished row together with the retained-row stack, which is what the
 // checkpoint-replay grid view in srna_lean.cpp snapshots (every C rows) and
 // replays to materialize any block of rows on demand.
-//
-// Values are computed by the identical recurrence and event-run order as
-// fill_slice_dense, so scores — and the tracebacks derived from them — are
-// bit-identical to the dense backend.
 #pragma once
 
 #include <algorithm>
@@ -36,7 +37,7 @@
 
 namespace srna {
 
-// Reusable buffers for one streaming sweep. One per recursion level (the
+// Reusable row buffers for one streaming sweep. One per recursion level (the
 // lean solver's recompute-on-miss path can stream a child slice while the
 // parent sweep is live); pooled in Workspace so capacity survives solves.
 struct LeanSliceScratch {
@@ -56,13 +57,6 @@ struct LeanSliceScratch {
     return total;
   }
 
-  // Bytes the retained stack currently pins (the live part of the window).
-  [[nodiscard]] std::size_t stack_bytes() const noexcept {
-    std::size_t total = 0;
-    for (const Retained& r : stack) total += r.values.capacity() * sizeof(Score);
-    return total;
-  }
-
   void push_retained(Pos row, const std::vector<Score>& values) {
     Retained r;
     if (!free_pool.empty()) {
@@ -78,13 +72,6 @@ struct LeanSliceScratch {
     free_pool.push_back(std::move(stack.back()));
     stack.pop_back();
   }
-
-  void release() {
-    std::vector<Score>().swap(cur);
-    std::vector<Score>().swap(prev);
-    std::vector<Retained>().swap(stack);
-    std::vector<Retained>().swap(free_pool);
-  }
 };
 
 namespace detail {
@@ -94,15 +81,18 @@ namespace detail {
 // rows as of after x_begin - 1 — which is exactly what a checkpoint snapshot
 // restores. After each finished row the visitor sees
 //   visit(x, row_values, ws.stack)
-// and on return ws.prev holds row x_end. `stats` may be null (traceback
-// replays do not double-count work).
+// and on return ws.prev holds row x_end. `kernel.scratch` holds the slice's
+// prepared events for the duration of the call, so it must not be shared
+// with a sweep live at another recursion level. `stats` may be null
+// (traceback replays do not double-count work).
 template <typename D2, typename RowVisitor>
 void stream_slice_rows(const SecondaryStructure& s1, const ColumnEvents& col_events,
                        SliceBounds b, Pos x_begin, Pos x_end, LeanSliceScratch& ws,
-                       D2&& d2_of, McosStats* stats, RowVisitor&& visit) {
+                       SliceKernel kernel, D2&& d2_of, McosStats* stats, RowVisitor&& visit) {
   const auto cols = static_cast<std::size_t>(b.height());
   const std::span<const ColumnEvents::Event> events = col_events.in_range(b.lo2, b.hi2);
-  const Pos lo2 = b.lo2;
+  KernelScratch& ks = *kernel.scratch;
+  const PreparedEvents prep = prepare_kernel_events(events, b.lo2, ks);
 
   for (Pos x = x_begin; x <= x_end; ++x) {
     Score* row = ws.cur.data();
@@ -122,35 +112,10 @@ void stream_slice_rows(const SecondaryStructure& s1, const ColumnEvents& col_eve
                    "lean stream: retained-row stack does not hold the d1 row");
         d1_row = ws.stack.back().values.data();
       }
-
-      // Event-run row body, identical decisions to fill_slice_dense.
-      Score left = 0;
-      std::size_t c = 0;
-      std::uint64_t row_arc_events = 0;
-      for (const ColumnEvents::Event& e : events) {
-        const auto ce = static_cast<std::size_t>(e.y - lo2);
-        if (ce > c) {
-          if (c == 0) left = up[0];
-          std::fill(row + c, row + ce, left);
-        }
-        Score v = std::max(up[ce], left);
-        if (e.k >= lo2) {
-          const Score d1 = (d1_row != nullptr && e.k - 1 >= lo2)
-                               ? d1_row[static_cast<std::size_t>(e.k - 1 - lo2)]
-                               : 0;
-          const Score d2 = d2_of(k1, x, e.k, e.y);
-          v = std::max(v, static_cast<Score>(1 + d1 + d2));
-          ++row_arc_events;
-        }
-        row[ce] = v;
-        left = v;
-        c = ce + 1;
-      }
-      if (c < cols) {
-        if (c == 0) left = up[0];
-        std::fill(row + c, row + cols, left);
-      }
-      if (stats != nullptr) stats->arc_match_events += row_arc_events;
+      if (prep.count == 0)  // no events: the whole row is one constant run
+        std::fill(row, row + cols, up[0]);
+      else
+        fill_arc_row(ks, prep, events, cols, k1, x, up, d1_row, row, d2_of, stats);
 
       // The d1 row was consumed by its one consumer (unique endpoints):
       // release it.
@@ -176,12 +141,13 @@ struct LeanStreamNoVisit {
 };
 
 // Streams the whole slice and returns its final value F(lo1, hi1, lo2, hi2),
-// with O((2 + open arcs) × height) resident state. Accounting matches
-// tabulate_slice_dense: every cell is conceptually written, the dynamic case
-// fires for the same (row, column) pairs.
+// with O((2 + open arcs) × height) resident rows plus the kernel's per-event
+// scratch. Accounting matches tabulate_slice_dense: every cell is
+// conceptually written, the dynamic case fires for the same (row, column)
+// pairs.
 template <typename D2, typename RowVisitor = LeanStreamNoVisit>
 Score stream_slice_dense(const SecondaryStructure& s1, const ColumnEvents& col_events,
-                         SliceBounds b, LeanSliceScratch& ws, D2&& d2_of,
+                         SliceBounds b, LeanSliceScratch& ws, SliceKernel kernel, D2&& d2_of,
                          McosStats* stats = nullptr, RowVisitor&& visit = RowVisitor{}) {
   if (b.empty()) {
     if (stats != nullptr) ++stats->slices_tabulated;
@@ -195,7 +161,7 @@ Score stream_slice_dense(const SecondaryStructure& s1, const ColumnEvents& col_e
   ws.cur.assign(cols, 0);
   ws.prev.assign(cols, 0);
   while (!ws.stack.empty()) ws.pop_retained();
-  detail::stream_slice_rows(s1, col_events, b, b.lo1, b.hi1, ws,
+  detail::stream_slice_rows(s1, col_events, b, b.lo1, b.hi1, ws, kernel,
                             static_cast<D2&&>(d2_of), stats,
                             static_cast<RowVisitor&&>(visit));
   return ws.prev[cols - 1];  // after the final swap, prev holds row hi1

@@ -48,19 +48,6 @@ std::size_t WindowedMemoStore::resident_bytes() const noexcept {
   return fixed_bytes() + row_value_bytes_;
 }
 
-bool WindowedMemoStore::try_load(Pos i1, Pos i2, Score& out) noexcept {
-  const std::int32_t r = row_of_[static_cast<std::size_t>(i1)];
-  const std::int32_t c = col_of_[static_cast<std::size_t>(i2)];
-  if (r < 0 || c < 0) return false;
-  Row& row = rows_[static_cast<std::size_t>(r)];
-  if (!row.resident) return false;
-  const Score v = row.values[static_cast<std::size_t>(c)];
-  if (v == kMemoUnset) return false;
-  row.last_used = ++tick_;
-  out = v;
-  return true;
-}
-
 void WindowedMemoStore::store(Pos i1, Pos i2, Score value) {
   const std::int32_t r = row_of_[static_cast<std::size_t>(i1)];
   const std::int32_t c = col_of_[static_cast<std::size_t>(i2)];

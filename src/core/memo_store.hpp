@@ -1,29 +1,21 @@
-// MemoStore — the cross-slice memoization interface (paper Figure 5) with
-// two backends.
+// WindowedMemoStore — the space-lean cross-slice memo of srna-lean.
 //
 // M(i1, i2) holds the final value of slice_{i1,i2}, the slice spawned by
-// matching the arcs whose left endpoints are i1-1 and i2-1. The solvers only
-// ever need associative semantics from it: "is this slice's value resident,
-// and if so what is it" plus "remember this value". MemoStore captures
-// exactly that, so the Θ(nm) dense table (MemoTable, the paper-faithful
-// backend) and the space-lean windowed store below are interchangeable
-// behind one probe:
-//
-//   * MemoTable          — dense n × m array, O(1) probe, Θ(nm) bytes. The
-//                          backend of SRNA1 (kArray), SRNA2 and PRNA.
-//   * WindowedMemoStore  — one row per S1 arc over one column per S2 arc
-//                          (the only cells ever written — each position
-//                          starts at most one arc), with least-recently-used
-//                          rows evicted under a byte budget. A failed probe
-//                          means "recompute the child slice" (SRNA1-style
-//                          spawn), which terminates because children are
-//                          strictly nested. Resident state is
-//                          O(n + m + live window).
+// matching the arcs whose left endpoints are i1-1 and i2-1 (paper Figure 5).
+// SRNA1, SRNA2 and PRNA keep M in the dense n × m MemoTable
+// (core/memo_table.hpp): O(1) get/set, Θ(nm) bytes. This store keeps one row
+// per S1 arc over one column per S2 arc — the only cells ever written, since
+// each position starts at most one arc — with least-recently-used rows
+// evicted under a byte budget. Its probe is associative: a failed
+// try_load() means "recompute the child slice" (SRNA1-style spawn), which
+// terminates because children are strictly nested. Resident state is
+// O(n + m + live window).
 //
 // The windowed store is what makes genome-scale pairs (n ≈ 10⁴–10⁵) fit: the
 // dense table is the hard Θ(nm) memory ceiling, while the windowed store's
 // footprint is capped by SolverConfig.memory_budget_bytes (see
-// core/srna_lean.hpp for the solver that drives it).
+// core/srna_lean.hpp for the solver that drives it). Its row shape is also
+// the row shape of the checkpoint format (core/checkpoint.hpp).
 #pragma once
 
 #include <cstddef>
@@ -37,50 +29,15 @@
 namespace srna {
 
 // Sentinel for "slice not yet tabulated" (valid values are >= 0). Shared by
-// both backends: MemoTable::kUnset aliases it, and the windowed store uses
-// it for cells of a resident row that were never written.
+// both memo layouts: MemoTable::kUnset aliases it, and the windowed store
+// uses it for cells of a resident row that were never written.
 inline constexpr Score kMemoUnset = -1;
 
-class MemoStore {
+// Rows keyed by S1 arc, columns by S2 arc, an LRU window of resident rows
+// under a byte budget. Not thread-safe (pool per workspace, like every other
+// solve buffer).
+class WindowedMemoStore {
  public:
-  virtual ~MemoStore() = default;
-
- protected:
-  // Concrete stores keep their value semantics (MemoTable is copied/moved by
-  // Workspace); the interface itself is stateless.
-  MemoStore() = default;
-  MemoStore(const MemoStore&) = default;
-  MemoStore& operator=(const MemoStore&) = default;
-  MemoStore(MemoStore&&) = default;
-  MemoStore& operator=(MemoStore&&) = default;
-
- public:
-
-  // Backend name for diagnostics/reports ("dense", "windowed").
-  [[nodiscard]] virtual const char* store_kind() const noexcept = 0;
-
-  // Associative probe: true and the value when M(i1, i2) is resident. False
-  // means the caller must (re)compute the child slice — for the dense table
-  // that only happens before first tabulation (the SRNA1 sentinel probe);
-  // for the windowed store also after an eviction.
-  virtual bool try_load(Pos i1, Pos i2, Score& out) noexcept = 0;
-
-  // Remembers M(i1, i2) = value (the slice's final cell).
-  virtual void store(Pos i1, Pos i2, Score value) = 0;
-
-  // Bytes of score state currently resident / the high-water mark. Feeds the
-  // workspace footprint accounting and the memory ledger.
-  [[nodiscard]] virtual std::size_t resident_bytes() const noexcept = 0;
-  [[nodiscard]] virtual std::size_t peak_resident_bytes() const noexcept = 0;
-};
-
-// The space-lean backend: rows keyed by S1 arc, columns by S2 arc, an LRU
-// window of resident rows under a byte budget. Not thread-safe (pool per
-// workspace, like every other solve buffer).
-class WindowedMemoStore final : public MemoStore {
- public:
-  WindowedMemoStore() = default;
-
   // Shapes the store for a structure pair and sets the budget (bytes of
   // resident row state; 0 = unlimited). Index maps are rebuilt, all rows
   // start evicted, counters reset. The budget may be smaller than one row
@@ -90,11 +47,30 @@ class WindowedMemoStore final : public MemoStore {
   void configure(const SecondaryStructure& s1, const SecondaryStructure& s2,
                  std::size_t budget_bytes);
 
-  [[nodiscard]] const char* store_kind() const noexcept override { return "windowed"; }
-  bool try_load(Pos i1, Pos i2, Score& out) noexcept override;
-  void store(Pos i1, Pos i2, Score value) override;
-  [[nodiscard]] std::size_t resident_bytes() const noexcept override;
-  [[nodiscard]] std::size_t peak_resident_bytes() const noexcept override { return peak_bytes_; }
+  // Associative probe: true and the value when M(i1, i2) is resident. False
+  // means the caller must (re)compute the child slice — before its first
+  // tabulation, or after its row was evicted. Inline: the lean solver calls
+  // it once per arc-match event.
+  bool try_load(Pos i1, Pos i2, Score& out) noexcept {
+    const std::int32_t r = row_of_[static_cast<std::size_t>(i1)];
+    const std::int32_t c = col_of_[static_cast<std::size_t>(i2)];
+    if (r < 0 || c < 0) return false;
+    Row& row = rows_[static_cast<std::size_t>(r)];
+    if (!row.resident) return false;
+    const Score v = row.values[static_cast<std::size_t>(c)];
+    if (v == kMemoUnset) return false;
+    row.last_used = ++tick_;
+    out = v;
+    return true;
+  }
+
+  // Remembers M(i1, i2) = value (the slice's final cell).
+  void store(Pos i1, Pos i2, Score value);
+
+  // Bytes of score state currently resident / the high-water mark. Feed the
+  // workspace footprint accounting and the memory ledger.
+  [[nodiscard]] std::size_t resident_bytes() const noexcept;
+  [[nodiscard]] std::size_t peak_resident_bytes() const noexcept { return peak_bytes_; }
 
   [[nodiscard]] std::size_t budget_bytes() const noexcept { return budget_; }
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }

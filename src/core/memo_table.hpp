@@ -16,11 +16,10 @@
 
 namespace srna {
 
-// The dense MemoStore backend. The solvers' hot loops keep calling the
-// concrete get()/set() (no virtual dispatch per lookup); the MemoStore
-// surface exists for store-agnostic callers — SRNA1's associative probe,
-// the lean solver's recompute path, and the workspace accounting.
-class MemoTable final : public MemoStore {
+// The dense n × m table of SRNA1 (kArray), SRNA2 and PRNA: O(1) get/set/ref
+// in the solvers' hot loops. srna-lean keeps M in the windowed store instead
+// (core/memo_store.hpp), which shares the kUnset sentinel.
+class MemoTable {
  public:
   // Sentinel for "slice not yet tabulated" (valid values are >= 0). SRNA1
   // initializes with the sentinel and spawns on a miss; SRNA2/PRNA
@@ -66,26 +65,6 @@ class MemoTable final : public MemoStore {
   [[nodiscard]] Pos cols() const noexcept { return static_cast<Pos>(table_.cols()); }
 
   void fill(Score value) { table_.fill(value); }
-
-  // MemoStore interface (associative view of the dense array).
-  [[nodiscard]] const char* store_kind() const noexcept override { return "dense"; }
-  bool try_load(Pos i1, Pos i2, Score& out) noexcept override {
-    const Score v = get(i1, i2);
-    if (v == kUnset) return false;
-    out = v;
-    return true;
-  }
-  void store(Pos i1, Pos i2, Score value) override { set(i1, i2, value); }
-  [[nodiscard]] std::size_t resident_bytes() const noexcept override {
-    return capacity_bytes();
-  }
-  [[nodiscard]] std::size_t peak_resident_bytes() const noexcept override {
-    return capacity_bytes();
-  }
-
-  [[nodiscard]] const Matrix<Score>& matrix() const noexcept { return table_; }
-  // Mutable access for bulk (de)serialization — checkpoint/restart.
-  [[nodiscard]] Matrix<Score>& matrix_mutable() noexcept { return table_; }
 
  private:
   Matrix<Score> table_;

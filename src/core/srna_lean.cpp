@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -23,12 +20,16 @@ std::size_t lean_scratch_floor_bytes(const SecondaryStructure& s1,
                                      const SecondaryStructure& s2) {
   const auto m = static_cast<std::size_t>(s2.length());
   const auto depth = static_cast<std::size_t>(s1.max_nesting_depth());
-  // cur + prev + one retained row per open arc, all at most height m, plus
-  // the S2 column-event table.
+  const auto arcs2 = static_cast<std::size_t>(s2.arc_count());
+  // cur + prev + one retained row per open arc, all at most height m, the
+  // dense kernel's per-event scratch (column, d1 index and value per S2
+  // event), plus the S2 column-event table.
   const std::size_t stream_rows = (2 + depth) * m * sizeof(Score);
-  const std::size_t events = s2.arc_count() * sizeof(ColumnEvents::Event) +
-                             (m + 1) * sizeof(std::uint32_t);
-  return stream_rows + events;
+  const std::size_t kernel =
+      arcs2 * (sizeof(std::uint32_t) + sizeof(std::int32_t) + sizeof(Score));
+  const std::size_t events =
+      arcs2 * sizeof(ColumnEvents::Event) + (m + 1) * sizeof(std::uint32_t);
+  return stream_rows + kernel + events;
 }
 
 std::size_t lean_minimum_bytes(const SecondaryStructure& s1, const SecondaryStructure& s2) {
@@ -124,26 +125,27 @@ class LeanRunner {
     if (options_.base.cancelled()) throw SolveCancelled();
     if (options_.base.slice_hook) options_.base.slice_hook(slices_started_);
     ++slices_started_;
-    if (dense_)
-      return stream_slice_dense(s1_, col_events_,
-                                SliceBounds{0, s1_.length() - 1, 0, s2_.length() - 1},
-                                ws_.lean_scratch(0), d2_fn(0), &stats_);
-    return tabulate_slice_compressed(idx1_.all(), idx2_.all(), ws_.events(0), d2_fn(0),
-                                     &stats_);
+    return eval(SliceBounds{0, s1_.length() - 1, 0, s2_.length() - 1}, idx1_.all(),
+                idx2_.all(), 0);
   }
 
  private:
   Score eval_child(std::size_t a, std::size_t b, std::size_t level) {
-    if (dense_) {
-      const Arc arc1 = idx1_.arc(a);
-      const Arc arc2 = idx2_.arc(b);
-      return stream_slice_dense(
-          s1_, col_events_,
-          SliceBounds::under(arc1.left, arc1.right, arc2.left, arc2.right),
-          ws_.lean_scratch(level), d2_fn(level), &stats_);
-    }
-    return tabulate_slice_compressed(idx1_.interior(a), idx2_.interior(b),
-                                     ws_.events(level), d2_fn(level), &stats_);
+    const Arc arc1 = idx1_.arc(a);
+    const Arc arc2 = idx2_.arc(b);
+    return eval(SliceBounds::under(arc1.left, arc1.right, arc2.left, arc2.right),
+                idx1_.interior(a), idx2_.interior(b), level);
+  }
+
+  // One slice at recursion level `level`. Recompute-on-miss evaluates a
+  // child slice inside d2_of, as SRNA1 spawns one, so each level has its own
+  // rows and kernel scratch.
+  Score eval(SliceBounds b, std::span<const Arc> rows, std::span<const Arc> cols,
+             std::size_t level) {
+    if (dense_)
+      return stream_slice_dense(s1_, col_events_, b, ws_.lean_scratch(level),
+                                ws_.slice_kernel(level), d2_fn(level), &stats_);
+    return tabulate_slice_compressed(rows, cols, ws_.events(level), d2_fn(level), &stats_);
   }
 
   const SecondaryStructure& s1_;
@@ -159,10 +161,8 @@ class LeanRunner {
   std::uint64_t slices_started_ = 0;
 };
 
-}  // namespace
-
-namespace detail {
-
+// Runs the lean solve and leaves the populated window store in `store`
+// (configured by this call) for the traceback.
 Score run_srna_lean(const SecondaryStructure& s1, const SecondaryStructure& s2,
                     const LeanOptions& options, McosStats& stats, WindowedMemoStore& store,
                     Workspace& workspace) {
@@ -191,10 +191,6 @@ Score run_srna_lean(const SecondaryStructure& s1, const SecondaryStructure& s2,
   return answer;
 }
 
-}  // namespace detail
-
-namespace {
-
 void bridge_lean_store_metrics(const WindowedMemoStore& store) {
   auto& registry = obs::Registry::instance();
   registry.counter("lean.store_evictions").add(store.evictions());
@@ -212,167 +208,48 @@ McosResult srna_lean(const SecondaryStructure& s1, const SecondaryStructure& s2,
 McosResult srna_lean(const SecondaryStructure& s1, const SecondaryStructure& s2,
                      const LeanOptions& options, Workspace& workspace) {
   McosResult result;
-  result.value = detail::run_srna_lean(s1, s2, options, result.stats,
-                                       workspace.lean_store(), workspace);
+  result.value =
+      run_srna_lean(s1, s2, options, result.stats, workspace.lean_store(), workspace);
   bridge_stats_to_metrics("srna_lean", result.stats);
   bridge_lean_store_metrics(workspace.lean_store());
   return result;
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint/restart. The serialized state is the resident window only:
-// completed-but-evicted rows are recomputed on demand after resume, which is
-// what keeps a tight-budget checkpoint proportional to the window, not nm.
-
-namespace {
-
-constexpr char kLeanMagic[8] = {'S', 'R', 'N', 'A', 'L', 'C', 'K', '1'};
-
-struct LeanHeader {
-  char magic[8];
-  std::uint64_t fingerprint1;
-  std::uint64_t fingerprint2;
-  std::int64_t n;
-  std::int64_t m;
-  std::uint64_t rows_done;
-  std::uint64_t cells_tabulated;
-  std::uint64_t slices_tabulated;
-  std::uint64_t arc_match_events;
-  std::uint64_t memo_lookups;
-  std::uint64_t memo_misses;
-  std::uint64_t resident_rows;
-  std::uint64_t cols_total;
-};
-
-void write_lean_checkpoint(const std::string& path, const LeanHeader& header,
-                           const WindowedMemoStore& store) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    SRNA_REQUIRE(out.good(), "cannot write checkpoint: " + tmp);
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    for (std::size_t ordinal = 0; ordinal < store.rows_total(); ++ordinal) {
-      if (!store.row_is_resident(ordinal)) continue;
-      const auto tag = static_cast<std::uint64_t>(ordinal);
-      out.write(reinterpret_cast<const char*>(&tag), sizeof(tag));
-      const std::span<const Score> values = store.row_values(ordinal);
-      out.write(reinterpret_cast<const char*>(values.data()),
-                static_cast<std::streamsize>(values.size() * sizeof(Score)));
-    }
-    SRNA_CHECK(out.good(), "checkpoint write failed: " + tmp);
-  }
-  std::filesystem::rename(tmp, path);  // atomic publish
-}
-
-bool load_lean_checkpoint(const std::string& path, const LeanHeader& expected,
-                          LeanHeader& header, WindowedMemoStore& store) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return false;
-  if (!in.read(reinterpret_cast<char*>(&header), sizeof(header)))
-    throw std::invalid_argument("checkpoint truncated: " + path);
-  if (std::memcmp(header.magic, kLeanMagic, sizeof(kLeanMagic)) != 0)
-    throw std::invalid_argument("not an SRNA-lean checkpoint: " + path);
-  if (header.fingerprint1 != expected.fingerprint1 ||
-      header.fingerprint2 != expected.fingerprint2 || header.n != expected.n ||
-      header.m != expected.m || header.cols_total != store.cols_total())
-    throw std::invalid_argument("checkpoint does not match these inputs: " + path);
-
-  std::vector<Score> row(store.cols_total());
-  for (std::uint64_t i = 0; i < header.resident_rows; ++i) {
-    std::uint64_t ordinal = 0;
-    if (!in.read(reinterpret_cast<char*>(&ordinal), sizeof(ordinal)) ||
-        ordinal >= store.rows_total() ||
-        !in.read(reinterpret_cast<char*>(row.data()),
-                 static_cast<std::streamsize>(row.size() * sizeof(Score))))
-      throw std::invalid_argument("checkpoint window truncated: " + path);
-    store.restore_row(static_cast<std::size_t>(ordinal), row);
-  }
-  return true;
-}
-
-}  // namespace
+// Checkpoint/restart in the one checkpoint format (core/checkpoint.hpp). The
+// serialized rows are the resident window only: completed-but-evicted rows
+// are recomputed on demand after resume, which is what keeps a tight-budget
+// checkpoint proportional to the window, not to arcs1 × arcs2.
 
 CheckpointedRun srna_lean_checkpointed(const SecondaryStructure& s1,
                                        const SecondaryStructure& s2,
                                        const LeanOptions& options,
                                        const CheckpointPolicy& policy) {
-  SRNA_REQUIRE(!policy.path.empty(), "checkpoint path must be set");
-  SRNA_REQUIRE(policy.every_rows >= 1, "checkpoint interval must be >= 1 row");
   SRNA_REQUIRE(s1.is_nonpseudoknot() && s2.is_nonpseudoknot(),
                "MCOS model requires non-pseudoknot structures");
   SRNA_REQUIRE(options.base.layout == SliceLayout::kDense,
                "lean checkpointing currently supports the dense layout");
   require_feasible_budget(s1, s2, options.memory_budget_bytes);
 
-  CheckpointedRun run;
   Workspace ws;
   WindowedMemoStore& store = ws.lean_store();
   store.configure(s1, s2, derive_store_budget(s1, s2, options.memory_budget_bytes));
-
   McosStats stats;
   LeanRunner runner(s1, s2, options, stats, store, ws);
-  run.rows_total = runner.rows_total();
 
-  LeanHeader expected{};
-  std::memcpy(expected.magic, kLeanMagic, sizeof(kLeanMagic));
-  expected.fingerprint1 = structure_fingerprint(s1);
-  expected.fingerprint2 = structure_fingerprint(s2);
-  expected.n = s1.length();
-  expected.m = s2.length();
-  expected.cols_total = store.cols_total();
-
-  std::uint64_t first_row = 0;
-  LeanHeader loaded{};
-  if (load_lean_checkpoint(policy.path, expected, loaded, store)) {
-    run.resumed = true;
-    first_row = loaded.rows_done;
-    stats.cells_tabulated = loaded.cells_tabulated;
-    stats.slices_tabulated = loaded.slices_tabulated;
-    stats.arc_match_events = loaded.arc_match_events;
-    stats.memo_lookups = loaded.memo_lookups;
-    stats.memo_misses = loaded.memo_misses;
-    SRNA_REQUIRE(first_row <= run.rows_total, "checkpoint row count out of range");
-  }
-
-  auto persist = [&](std::uint64_t rows_done) {
-    LeanHeader header = expected;
-    header.rows_done = rows_done;
-    header.cells_tabulated = stats.cells_tabulated;
-    header.slices_tabulated = stats.slices_tabulated;
-    header.arc_match_events = stats.arc_match_events;
-    header.memo_lookups = stats.memo_lookups;
-    header.memo_misses = stats.memo_misses;
-    header.resident_rows = store.rows_resident();
-    write_lean_checkpoint(policy.path, header, store);
+  detail::CheckpointedSolver solver;
+  solver.tabulate_row = [&](std::uint64_t a) {
+    runner.tabulate_row(static_cast<std::size_t>(a));
   };
-
-  WallTimer phase;
-  std::uint64_t rows_this_run = 0;
-  std::uint64_t row = first_row;
-  for (; row < run.rows_total; ++row) {
-    if (policy.max_rows_this_run != 0 && rows_this_run >= policy.max_rows_this_run) break;
-    runner.tabulate_row(static_cast<std::size_t>(row));
-    ++rows_this_run;
-    if ((row + 1 - first_row) % policy.every_rows == 0 && row + 1 < run.rows_total)
-      persist(row + 1);
-  }
-  stats.stage1_seconds = phase.seconds();
-  run.rows_done = row;
-
-  if (row < run.rows_total) {
-    persist(row);
-    run.complete = false;
-    return run;
-  }
-
-  phase.reset();
-  run.result.value = runner.parent();
-  stats.stage2_seconds = phase.seconds();
-  run.result.stats = stats;
-  run.complete = true;
-  std::error_code ec;
-  std::filesystem::remove(policy.path, ec);  // best effort
-  return run;
+  solver.saved = [&](std::uint64_t a, std::uint64_t) {
+    return store.row_is_resident(static_cast<std::size_t>(a));
+  };
+  solver.row = [&](std::uint64_t a) { return store.row_values(static_cast<std::size_t>(a)); };
+  solver.restore = [&](std::uint64_t a, std::span<const Score> values) {
+    store.restore_row(static_cast<std::size_t>(a), values);
+  };
+  solver.stage_two = [&] { return runner.parent(); };
+  return detail::run_checkpointed(s1, s2, policy, stats, solver);
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +279,7 @@ class StreamedSliceView {
     window_.resize(static_cast<std::size_t>(win_hi_ - win_lo_ + 1), height_, 0);
     reset_scratch(nullptr);
     detail::stream_slice_rows(
-        s1_, col_events_, b_, b_.lo1, b_.hi1, scratch_, d2_, nullptr,
+        s1_, col_events_, b_, b_.lo1, b_.hi1, scratch_, SliceKernel{&kernel_}, d2_, nullptr,
         [&](Pos x, const Score* row, const LeanSliceScratch& ws) {
           if ((x - b_.lo1 + 1) % block_rows_ == 0 && x < b_.hi1)
             checkpoints_.push_back(Checkpoint{
@@ -461,7 +338,7 @@ class StreamedSliceView {
     reset_scratch(ck);
     const Pos start = ck != nullptr ? ck->x + 1 : b_.lo1;
     detail::stream_slice_rows(
-        s1_, col_events_, b_, start, win_hi_, scratch_, d2_, nullptr,
+        s1_, col_events_, b_, start, win_hi_, scratch_, SliceKernel{&kernel_}, d2_, nullptr,
         [&](Pos x, const Score* row, const LeanSliceScratch&) {
           if (x >= win_lo_)
             std::copy(row, row + height_,
@@ -481,6 +358,9 @@ class StreamedSliceView {
   std::vector<Score> row_above_;
   Pos row_above_x_ = -2;
   LeanSliceScratch scratch_;
+  // The view's own kernel scratch, as TracebackWalker keeps one: a d2 miss
+  // during a replay streams the child slice at the solver's level 1.
+  KernelScratch kernel_;
 };
 
 class LeanTracebackWalker {
@@ -527,7 +407,7 @@ CommonSubstructure mcos_traceback_lean(const SecondaryStructure& s1,
                                        const LeanOptions& options, Workspace& workspace) {
   CommonSubstructure result;
   WindowedMemoStore& store = workspace.lean_store();
-  result.value = detail::run_srna_lean(s1, s2, options, result.stats, store, workspace);
+  result.value = run_srna_lean(s1, s2, options, result.stats, store, workspace);
 
   if (s1.length() > 0 && s2.length() > 0) {
     LeanRunner runner(s1, s2, options, result.stats, store, workspace);

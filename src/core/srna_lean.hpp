@@ -7,14 +7,15 @@
 //   O(n + m)                      index maps and column events
 //   + live memo window            capped by the byte budget
 //   + (2 + nesting depth) rows    streaming cur/prev + retained d1 rows
+//   + O(S2 arcs)                  the dense kernel's per-event scratch
 // A d2 probe that misses (row evicted under the budget, or simply not yet
 // tabulated) recomputes the child slice on demand, SRNA1-style; the
 // recursion terminates because children are strictly nested. Under a
 // generous budget nothing is ever evicted and the work matches SRNA2
 // exactly; under pressure the store trades recompute time for bytes.
 //
-// Scores and tracebacks are bit-identical to the dense backends: the
-// streaming kernel evaluates the identical event-run recurrence, and the
+// Scores and tracebacks are bit-identical to the dense backends: each
+// streamed row is computed by the dense kernel's own row routine, and the
 // lean traceback walks the identical decision kernel
 // (core/traceback_walk.hpp) over a checkpoint-replay grid view.
 #pragma once
@@ -59,11 +60,10 @@ McosResult srna_lean(const SecondaryStructure& s1, const SecondaryStructure& s2,
 McosResult srna_lean(const SecondaryStructure& s1, const SecondaryStructure& s2,
                      const LeanOptions& options, Workspace& workspace);
 
-// Checkpoint/restart for the lean path (dense layout): the serialized state
-// is the *resident window* plus the count of completed stage-one rows —
-// evicted rows are recomputed on demand after resume, so a checkpoint under
-// a tight budget stays small. File format "SRNALCK1"; same policy semantics
-// as srna2_checkpointed.
+// Checkpoint/restart for the lean path (dense layout), in the one checkpoint
+// format of core/checkpoint.hpp: the file holds the *resident window* rows
+// plus the count of completed stage-one rows — evicted rows are recomputed
+// on demand after resume, so a checkpoint under a tight budget stays small.
 CheckpointedRun srna_lean_checkpointed(const SecondaryStructure& s1,
                                        const SecondaryStructure& s2,
                                        const LeanOptions& options,
@@ -81,16 +81,5 @@ CommonSubstructure mcos_traceback_lean(const SecondaryStructure& s1,
 CommonSubstructure mcos_traceback_lean(const SecondaryStructure& s1,
                                        const SecondaryStructure& s2,
                                        const LeanOptions& options, Workspace& workspace);
-
-namespace detail {
-
-// Runs the lean solve and leaves the populated window store in `store`
-// (configured by this call). Exposed for the traceback and tests, mirroring
-// detail::run_srna2.
-Score run_srna_lean(const SecondaryStructure& s1, const SecondaryStructure& s2,
-                    const LeanOptions& options, McosStats& stats, WindowedMemoStore& store,
-                    Workspace& workspace);
-
-}  // namespace detail
 
 }  // namespace srna

@@ -25,9 +25,11 @@
 // between events, and a row where no S1 arc ends is a verbatim copy of the
 // row above — and the event cells of a row are evaluated in batched passes,
 // vectorized at compile time. Same cells, same stats, no per-cell partner
-// probe or load. The per-cell loop is retained as fill_slice_dense_reference,
-// the oracle of the equivalence tests and of the perf gate
-// (bench/micro_kernels --smoke).
+// probe or load. One routine (detail::fill_arc_row) computes an arc row; it
+// serves this grid fill and the lean solver's row stream
+// (core/lean_slice.hpp) alike. The per-cell loop is retained as
+// fill_slice_dense_reference, the oracle of the equivalence tests and of
+// the perf gate (bench/micro_kernels --smoke).
 //
 // Both layouts return the slice's final value F(lo1, hi1, lo2, hi2) — the
 // only value the memo table M retains ("only the last tabulated subproblem
@@ -628,6 +630,46 @@ inline void scatter_event_row(Score* row, std::size_t cols, Score head,
   if (last + 1 < cols) std::fill(row + last + 1, row + cols, vals[ne - 1]);
 }
 
+// One arc row of the dense kernel — row x, whose S1 arc (k1, x) starts in
+// the slice — written into `row` from the row above (`up`) and the row above
+// k1 (`d1_row`, null when k1 is the first row), over the slice's prepared
+// events, of which there is at least one (without events the row is one
+// constant run, up[0]; the callers fill it). fill_slice_dense runs it on
+// grid rows and the lean stream (core/lean_slice.hpp) on its cur / prev /
+// stack rows. Forced inline, with the event-free test left to the callers:
+// the grid fill's row loop is the solvers' hot path, and an early return in
+// here costs that loop registers (3–5% of the Table I n=400 solve).
+template <typename D2>
+[[gnu::always_inline]] inline void fill_arc_row(KernelScratch& ks, const PreparedEvents& prep,
+                                                std::span<const ColumnEvents::Event> events,
+                                                std::size_t cols, Pos k1, Pos x,
+                                                const Score* up, const Score* d1_row,
+                                                Score* row, D2&& d2_of, McosStats* stats) {
+  const std::size_t ne = prep.count;
+  Score* vals = ks.vals.data();
+  compute_event_d2(ks, prep, k1, x, events, vals, d2_of);
+  if (prep.contiguous) {
+    // Fused pipeline: one sweep combines cand/up, the prefix scan writes
+    // straight into the row — no separate combine or scatter copy.
+    const std::size_t first = ks.cols[0];
+    std::fill(row, row + first, up[0]);
+#if defined(SRNA_KERNEL_AVX2)
+    const Score tail = fused_candidates_scan(ks.d1_idx.data(), ne, prep.desc_prefix, d1_row,
+                                             up + first, vals, row + first);
+#else
+    apply_d1_up_contiguous(ks.d1_idx.data(), ne, prep.desc_prefix, d1_row, up + first, vals);
+    const Score tail = prefix_max_to(row + first, vals, ne);
+#endif
+    if (first + ne < cols) std::fill(row + first + ne, row + cols, tail);
+  } else {
+    apply_d1_candidates(ks.d1_idx.data(), ne, prep.desc_prefix, d1_row, vals);
+    combine_up_gather(vals, up, ks.cols.data(), ne);
+    (void)prefix_max_to(vals, vals, ne);
+    scatter_event_row(row, cols, up[0], ks.cols.data(), vals, ne);
+  }
+  if (stats != nullptr) stats->arc_match_events += prep.qualifying;
+}
+
 }  // namespace detail
 
 // Fills `grid` (shaped width × height) with the dense slice:
@@ -670,7 +712,6 @@ void fill_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& /*
   KernelScratch& ks = *kernel.scratch;
   const std::span<const ColumnEvents::Event> events = col_events.in_range(b.lo2, b.hi2);
   const detail::PreparedEvents prep = detail::prepare_kernel_events(events, b.lo2, ks);
-  const std::size_t ne = prep.count;
 
   for (Pos x = b.lo1; x <= b.hi1; ++x) {
     const auto r = static_cast<std::size_t>(x - b.lo1);
@@ -687,35 +728,13 @@ void fill_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& /*
     }
 
     const Score* up = grid.row_data(r - 1);
-    if (ne == 0) {  // no events: the whole row is one constant run
+    if (prep.count == 0) {  // no events: the whole row is one constant run
       std::fill(row, row + cols, up[0]);
       continue;
     }
     const Score* d1_row =
         k1 - 1 >= b.lo1 ? grid.row_data(static_cast<std::size_t>(k1 - 1 - b.lo1)) : nullptr;
-    Score* vals = ks.vals.data();
-    detail::compute_event_d2(ks, prep, k1, x, events, vals, d2_of);
-    if (prep.contiguous) {
-      // Fused pipeline: one sweep combines cand/up, the prefix scan writes
-      // straight into the grid row — no separate combine or scatter copy.
-      const std::size_t first = ks.cols[0];
-      std::fill(row, row + first, up[0]);
-#if defined(SRNA_KERNEL_AVX2)
-      const Score tail = detail::fused_candidates_scan(ks.d1_idx.data(), ne, prep.desc_prefix,
-                                                       d1_row, up + first, vals, row + first);
-#else
-      detail::apply_d1_up_contiguous(ks.d1_idx.data(), ne, prep.desc_prefix, d1_row, up + first,
-                                     vals);
-      const Score tail = detail::prefix_max_to(row + first, vals, ne);
-#endif
-      if (first + ne < cols) std::fill(row + first + ne, row + cols, tail);
-    } else {
-      detail::apply_d1_candidates(ks.d1_idx.data(), ne, prep.desc_prefix, d1_row, vals);
-      detail::combine_up_gather(vals, up, ks.cols.data(), ne);
-      (void)detail::prefix_max_to(vals, vals, ne);
-      detail::scatter_event_row(row, cols, up[0], ks.cols.data(), vals, ne);
-    }
-    if (stats != nullptr) stats->arc_match_events += prep.qualifying;
+    detail::fill_arc_row(ks, prep, events, cols, k1, x, up, d1_row, row, d2_of, stats);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "dist/net.hpp"
 
 #include <arpa/inet.h>
+#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -51,8 +52,16 @@ int tcp_connect(const Endpoint& endpoint, int timeout_ms) {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(endpoint.port);
   if (::inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return -1;
+    addrinfo hints{};
+    hints.ai_family = AF_INET;
+    hints.ai_socktype = SOCK_STREAM;
+    addrinfo* found = nullptr;
+    if (::getaddrinfo(endpoint.host.c_str(), nullptr, &hints, &found) != 0 || found == nullptr) {
+      ::close(fd);
+      return -1;
+    }
+    addr.sin_addr = reinterpret_cast<const sockaddr_in*>(found->ai_addr)->sin_addr;
+    ::freeaddrinfo(found);
   }
   // SO_SNDTIMEO bounds the connect() itself on Linux; good enough for the
   // localhost links this tier manages.
@@ -74,6 +83,28 @@ bool send_all(int fd, const std::string& data) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+LineClient::LineClient(const Endpoint& endpoint, int timeout_ms)
+    : fd_(tcp_connect(endpoint, timeout_ms)), reader_(fd_) {
+  if (fd_ < 0) throw std::runtime_error("cannot connect to " + endpoint.to_string());
+}
+
+LineClient::~LineClient() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void LineClient::send(const std::string& line) {
+  if (!send_all(fd_, line + "\n")) throw std::runtime_error("send failed (server gone?)");
+}
+
+std::string LineClient::receive() {
+  std::string response;
+  if (reader_.next(response)) return response;
+  if (reader_.end() == serve::ReadEnd::kOverflow)
+    throw std::runtime_error("response line exceeds " + std::to_string(serve::kMaxLineBytes) +
+                             " bytes");
+  throw std::runtime_error("connection closed mid-response");
 }
 
 std::optional<std::string> http_get_body(const Endpoint& endpoint, const std::string& path,

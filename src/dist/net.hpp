@@ -1,6 +1,7 @@
 // Small blocking-socket helpers shared by the distributed tier: the router's
-// shard links, the health prober's HTTP probes, and the supervisor/tests'
-// port bookkeeping. Everything is IPv4 localhost-grade plumbing on purpose —
+// shard links, the health prober's HTTP probes, the supervisor/tests' port
+// bookkeeping, and the JSON-lines client of srna-loadgen and
+// srna-dist-bench. Everything is IPv4 localhost-grade plumbing on purpose —
 // the distributed tier targets one machine (N processes around one kernel
 // library), not a datacenter fabric.
 #pragma once
@@ -8,6 +9,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+
+#include "serve/line_reader.hpp"
 
 namespace srna::dist {
 
@@ -23,13 +26,42 @@ struct Endpoint {
 [[nodiscard]] Endpoint parse_endpoint(const std::string& text);
 
 // Connects with a bounded wait (connect() itself plus SO_SNDTIMEO/SO_RCVTIMEO
-// on the resulting socket). Returns -1 on failure. TCP_NODELAY is set: every
+// on the resulting socket; 0 = no timeouts). A host that is not an IPv4
+// literal is resolved. Returns -1 on failure. TCP_NODELAY is set: every
 // payload here is a small line or probe.
 [[nodiscard]] int tcp_connect(const Endpoint& endpoint, int timeout_ms);
 
-// Sends the whole buffer. Returns false on any short write/error (the
+// Sends the whole buffer with MSG_NOSIGNAL: a peer that resets mid-send is a
+// false return, never a SIGPIPE. Returns false on any short write/error (the
 // caller treats the peer as gone).
 bool send_all(int fd, const std::string& data);
+
+// A blocking JSON-lines client: one request in flight per connection, the
+// response read through the bounded serve::LineReader. Throws
+// std::runtime_error when the connection cannot be made, the peer goes away
+// mid-send or mid-response, or a response line overflows
+// serve::kMaxLineBytes.
+class LineClient {
+ public:
+  LineClient(const Endpoint& endpoint, int timeout_ms);
+  ~LineClient();
+  LineClient(const LineClient&) = delete;
+  LineClient& operator=(const LineClient&) = delete;
+
+  // Sends `line` plus '\n'.
+  void send(const std::string& line);
+  // The next line the peer sends.
+  std::string receive();
+  // send() then receive(): one request in flight.
+  std::string roundtrip(const std::string& line) {
+    send(line);
+    return receive();
+  }
+
+ private:
+  int fd_;
+  serve::LineReader reader_;
+};
 
 // One HTTP/1.0 GET: returns the response body on a 2xx status, std::nullopt
 // on connect failure, timeout, or a non-2xx status. This is the probe/scrape

@@ -188,10 +188,10 @@ void Router::handle_line(const std::string& line,
     obs::log_debug("router.admit",
                    obs::log_fields({{"id", obs::Json(client_id)},
                                     {"trace_id", obs::Json(trace_id)}}));
-  dispatch(id);
+  dispatch(id, 0);
 }
 
-void Router::dispatch(std::uint64_t id) {
+void Router::dispatch(std::uint64_t id, int failed_attempt) {
   for (;;) {
     std::string line;
     std::size_t target = static_cast<std::size_t>(-1);
@@ -206,6 +206,10 @@ void Router::dispatch(std::uint64_t id) {
       const auto it = pending_.find(id);
       if (it == pending_.end()) return;  // already answered (claimed)
       Pending& entry = it->second;
+      // A failed send and the maintenance sweep of its dead link both see
+      // the same attempt fail; whichever comes second finds the request
+      // already re-homed and must not spend (or exhaust) another attempt.
+      if (entry.attempts_used != failed_attempt) return;
       if (entry.attempts_left <= 0) {
         exhausted = std::move(entry);
         pending_.erase(it);
@@ -280,6 +284,7 @@ void Router::dispatch(std::uint64_t id) {
     // Send failed: the shard is down right now. Loop — the cursor already
     // advanced past it, so the next iteration tries the following replica
     // (or exhausts the budget into an explicit rejection).
+    failed_attempt = attempt;
     failovers_.fetch_add(1, std::memory_order_relaxed);
     obs::Registry::instance().counter("router.failovers").add();
     if (attempt_start_us != 0) {
@@ -545,7 +550,7 @@ void Router::maintenance_loop() {
                                        : std::string{})},
                {"reason", obs::Json(r.dead_link ? "shard connection died"
                                                 : "attempt timeout")}}));
-      dispatch(r.id);
+      dispatch(r.id, r.attempt);
     }
   }
 }

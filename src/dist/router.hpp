@@ -148,7 +148,10 @@ class Router {
 
   [[nodiscard]] std::uint64_t routing_key(const serve::ServeRequest& request,
                                           bool* canonical = nullptr) const;
-  void dispatch(std::uint64_t id);
+  // Sends request `id` to its next candidate, looping past failed sends.
+  // `failed_attempt` is the attempt the caller saw fail (0 for a new
+  // request); a request that has moved past it is left alone.
+  void dispatch(std::uint64_t id, int failed_attempt);
   bool send_to_link(Link& link, const std::string& line);
   void read_loop(Link& link);
   void handle_shard_response(Link& link, const std::string& line);

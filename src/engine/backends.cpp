@@ -145,7 +145,7 @@ class PrnaStealBackend final : public SolverBackend {
   BackendCaps caps() const noexcept override {
     BackendCaps c;
     c.threads = true;
-    c.schedule_controls = true;  // parallel_stage2 / stage1_hook pass through
+    c.schedule_controls = true;  // stage1_hook passes through
     return c;
   }
   void validate(const SolverConfig& config) const override {

@@ -25,7 +25,6 @@ PrnaOptions SolverConfig::to_prna() const {
   options.balance = balance;
   options.layout = layout;
   options.schedule = schedule;
-  options.parallel_stage2 = parallel_stage2;
   options.validate_memo = validate_memo;
   options.stage1_hook = stage1_hook;
   return options;
@@ -60,7 +59,6 @@ void SolverBackend::validate(const SolverConfig& config) const {
   if (!c.balance_control && config.balance != defaults.balance) reject("balance");
   if (!c.schedule_controls) {
     if (config.schedule != defaults.schedule) reject("schedule");
-    if (config.parallel_stage2 != defaults.parallel_stage2) reject("parallel_stage2");
     if (config.stage1_hook != nullptr) reject("stage1_hook");
   }
   if (!c.cancel && config.cancel != nullptr) reject("cancel");

@@ -73,7 +73,6 @@ struct SolverConfig {
   int ranks = 2;
   BalanceStrategy balance = BalanceStrategy::kGreedyLpt;
   PrnaSchedule schedule = PrnaSchedule::kStaticColumns;
-  bool parallel_stage2 = false;
   // Test-only fault injection (prna); see PrnaOptions::stage1_hook.
   std::function<void(std::size_t, std::size_t)> stage1_hook;
 
@@ -103,7 +102,7 @@ struct BackendCaps {
   bool ranks = false;            // honors SolverConfig::ranks
   bool lazy_controls = false;    // honors memo_kind / memoize / spawn_limit
   bool balance_control = false;  // honors balance
-  bool schedule_controls = false;  // honors schedule / parallel_stage2 / stage1_hook
+  bool schedule_controls = false;  // honors schedule / stage1_hook
   bool cancel = false;           // honors SolverConfig::cancel (slice-boundary polls)
   bool memory_budget = false;    // honors SolverConfig::memory_budget_bytes
   bool honors_layout = true;     // informational: layout switches the kernel

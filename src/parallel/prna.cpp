@@ -32,50 +32,6 @@ std::vector<std::uint64_t> column_weights(const ArcIndex& idx2) {
   return weights;
 }
 
-// Stage two as a parallel wavefront: cells of one anti-diagonal of the
-// parent slice are independent (all dependencies — s1, s2, d1 — point at
-// strictly earlier diagonals, and d2 reads the completed memo table).
-Score tabulate_parent_wavefront(const SecondaryStructure& s1, const SecondaryStructure& s2,
-                                const MemoTable& memo, int threads, McosStats& stats,
-                                Matrix<Score>& grid) {
-  const Pos n = s1.length();
-  const Pos m = s2.length();
-  if (n == 0 || m == 0) {
-    ++stats.slices_tabulated;
-    return 0;
-  }
-  grid.resize(static_cast<std::size_t>(n), static_cast<std::size_t>(m), 0);
-  ++stats.slices_tabulated;
-  stats.cells_tabulated += static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(m);
-
-#pragma omp parallel num_threads(threads)
-  for (Pos d = 0; d <= n + m - 2; ++d) {
-    const Pos x_lo = std::max<Pos>(0, d - (m - 1));
-    const Pos x_hi = std::min<Pos>(n - 1, d);
-#pragma omp for schedule(static)
-    for (Pos x = x_lo; x <= x_hi; ++x) {
-      const Pos y = d - x;
-      const auto ux = static_cast<std::size_t>(x);
-      const auto uy = static_cast<std::size_t>(y);
-      Score v = std::max(x > 0 ? grid(ux - 1, uy) : Score{0},
-                         y > 0 ? grid(ux, uy - 1) : Score{0});
-      const Pos k1 = s1.arc_left_of(x);
-      if (k1 >= 0) {
-        const Pos k2 = s2.arc_left_of(y);
-        if (k2 >= 0) {
-          const Score d1 = (k1 > 0 && k2 > 0)
-                               ? grid(static_cast<std::size_t>(k1 - 1),
-                                      static_cast<std::size_t>(k2 - 1))
-                               : 0;
-          v = std::max(v, static_cast<Score>(1 + d1 + memo.get(k1 + 1, k2 + 1)));
-        }
-      }
-      grid(ux, uy) = v;
-    }  // implicit barrier: the diagonal is published
-  }
-  return grid(static_cast<std::size_t>(n) - 1, static_cast<std::size_t>(m) - 1);
-}
-
 }  // namespace
 
 obs::Json PrnaResult::to_json() const {
@@ -123,8 +79,6 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
   const bool stealing = options.schedule == PrnaSchedule::kStealing;
   SRNA_REQUIRE(!options.use_std_threads || stealing,
                "use_std_threads applies to the kStealing schedule only");
-  SRNA_REQUIRE(!(options.use_std_threads && options.parallel_stage2),
-               "use_std_threads is incompatible with parallel_stage2 (an OpenMP wavefront)");
 
   // --- Preprocessing: arc index, column ownership, memo table. ---
   WallTimer phase;
@@ -254,7 +208,9 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
     std::vector<std::atomic<std::uint32_t>> deps(n_slices);
     std::vector<WorkStealingDeque> queues(static_cast<std::size_t>(threads));
     for (WorkStealingDeque& q : queues) q.reset(n_slices);
-    std::atomic<std::uint64_t> remaining{n_slices};
+    // Every worker decrements this after every slice: alone on its cache
+    // line, away from the read-mostly locals the slice loop keeps loading.
+    struct alignas(64) { std::atomic<std::uint64_t> count; } remaining{n_slices};
     std::size_t seed_rr = 0;
     for (std::size_t a = 0; a < n1; ++a)
       for (std::size_t b = 0; b < n2; ++b) {
@@ -314,7 +270,7 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
         } catch (...) {
           capture_error();
         }
-        remaining.fetch_sub(1, std::memory_order_acq_rel);
+        remaining.count.fetch_sub(1, std::memory_order_acq_rel);
         timeline.busy_seconds += busy.seconds();
       };
 
@@ -332,7 +288,7 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
           run_slice(id);
           continue;
         }
-        if (remaining.load(std::memory_order_acquire) == 0) break;
+        if (remaining.count.load(std::memory_order_acquire) == 0) break;
         // Nothing runnable anywhere right now: somebody is finishing the
         // slices ours depend on. Spin politely and account the gap.
         WallTimer idle;
@@ -481,17 +437,12 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
         .set(static_cast<double>(result.stats.cells_tabulated) /
              result.stats.stage1_seconds);
 
-  // --- Stage two: the parent slice (paper: not worth parallelizing;
-  // Table III shows it below 0.2% of the runtime — parallel_stage2 exists
-  // to measure exactly that). ---
+  // --- Stage two: the parent slice, sequential (paper: not worth
+  // parallelizing; Table III shows it below 0.2% of the runtime). ---
   phase.reset();
   obs::TraceScope stage2_span("prna", "stage2");
   obs::CounterScope stage2_counters("prna.stage2");
-  if (options.parallel_stage2) {
-    SRNA_REQUIRE(dense, "parallel stage two supports the dense layout only");
-    result.value = tabulate_parent_wavefront(s1, s2, memo, threads, result.stats,
-                                             workspace.dense_grid(0));
-  } else if (dense) {
+  if (dense) {
     result.value = tabulate_slice_dense(s1, s2, col_events,
                                         SliceBounds{0, s1.length() - 1, 0, s2.length() - 1},
                                         workspace.dense_grid(0),

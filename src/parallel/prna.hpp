@@ -48,12 +48,6 @@ struct PrnaOptions {
   BalanceStrategy balance = BalanceStrategy::kGreedyLpt;
   SliceLayout layout = SliceLayout::kDense;
   PrnaSchedule schedule = PrnaSchedule::kStaticColumns;
-  // Tabulate the parent slice (stage two) as a parallel wavefront over
-  // anti-diagonals instead of sequentially. The paper deems this not worth
-  // the effort (stage two is < 0.01% of the runtime, Table III); this
-  // implementation exists to measure that claim (ablation_stage2_parallel).
-  // Dense layout only.
-  bool parallel_stage2 = false;
   // Verify the ordering guarantee (memo initialized to the unset sentinel,
   // every d2 lookup checked). Test-suite use.
   bool validate_memo = false;
@@ -61,7 +55,7 @@ struct PrnaOptions {
   // OpenMP parallel region. ThreadSanitizer cannot see libgomp's internal
   // synchronization (every OpenMP region is a false positive), so
   // scripts/check_tsan.sh exercises the work-stealing scheduler through this
-  // shim. Incompatible with parallel_stage2 (an OpenMP wavefront).
+  // shim.
   bool use_std_threads = false;
   // Test-only fault injection: called before each stage-one slice with its
   // (row, column) arc indices; a throw from here exercises the parallel

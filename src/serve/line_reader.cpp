@@ -4,28 +4,43 @@
 
 namespace srna::serve {
 
-ReadEnd read_lines(int fd, const std::function<void(const std::string&)>& on_line) {
-  std::string buffer;
-  char chunk[4096];
+bool LineReader::next(std::string& line) {
   for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return ReadEnd::kClosed;
-    // The carried-over tail holds no newline, so only the new bytes are
-    // searched for the first one.
-    std::size_t from = buffer.size();
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', from); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      if (nl - start > kMaxLineBytes) return ReadEnd::kOverflow;
-      std::string line = buffer.substr(start, nl - start);
+    // Hand out the lines already buffered; the unterminated tail was
+    // searched before, so only bytes past `scanned_` can hold a newline.
+    for (std::size_t nl = buffer_.find('\n', scanned_); nl != std::string::npos;
+         nl = buffer_.find('\n', start_)) {
+      if (nl - start_ > kMaxLineBytes) {
+        end_ = ReadEnd::kOverflow;
+        return false;
+      }
+      line.assign(buffer_, start_, nl - start_);
+      start_ = scanned_ = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      start = nl + 1;
-      if (!line.empty()) on_line(line);
+      if (!line.empty()) return true;
     }
-    buffer.erase(0, start);
-    if (buffer.size() > kMaxLineBytes) return ReadEnd::kOverflow;
+    buffer_.erase(0, start_);
+    start_ = 0;
+    scanned_ = buffer_.size();
+    if (buffer_.size() > kMaxLineBytes) {
+      end_ = ReadEnd::kOverflow;
+      return false;
+    }
+    char chunk[4096];
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n <= 0) {
+      end_ = ReadEnd::kClosed;
+      return false;
+    }
+    buffer_.append(chunk, static_cast<std::size_t>(n));
   }
+}
+
+ReadEnd read_lines(int fd, const std::function<void(const std::string&)>& on_line) {
+  LineReader reader(fd);
+  std::string line;
+  while (reader.next(line)) on_line(line);
+  return reader.end();
 }
 
 }  // namespace srna::serve

@@ -1,15 +1,22 @@
 // Randomized equivalence of the slice kernels: the dense kernel, the
 // per-cell reference fill it is pinned against (fill_slice_dense_reference,
-// kept exactly for this test and the perf gate), and the compressed
-// event-grid layout. The dense kernel must be a pure strength reduction —
-// same F, same cells_tabulated, same arc_match_events — and the compressed
-// layout must agree on F (its cell accounting differs by design: one cell
-// per event pair, not per position). Under -DSRNA_DISABLE_SIMD the same
-// cases pin the kernel's scalar instantiation.
+// kept exactly for this test and the perf gate), the lean solver's row
+// stream (detail::stream_slice_rows), and the compressed event-grid layout.
+// The dense kernel and the stream must be pure strength reductions — same
+// cells, d2 calls, cells_tabulated and arc_match_events — and the compressed
+// layout must agree on F (its cell accounting differs by design). Under
+// -DSRNA_DISABLE_SIMD the same cases pin the kernel's scalar instantiation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "core/arc_index.hpp"
+#include "core/lean_slice.hpp"
 #include "core/mcos.hpp"
 #include "core/memo_table.hpp"
 #include "core/tabulate_slice.hpp"
@@ -20,6 +27,45 @@ namespace srna {
 namespace {
 
 using testing::db;
+
+using D2Call = std::array<Pos, 4>;  // (k1, x, k2, y)
+
+// A position-dependent fake d2 that records every call. Deliberately NOT a
+// DP oracle (its deltas break the arc-match increment bound): the kernels
+// must be exact for arbitrary oracles.
+struct RecordingD2 {
+  std::vector<D2Call>* calls;
+  Score operator()(Pos k1, Pos x, Pos k2, Pos y) const {
+    calls->push_back({k1, x, k2, y});
+    return static_cast<Score>((k1 + x + k2 + y) % 5);
+  }
+};
+
+// Streams slice `b` as srna-lean does and collects every row, through the
+// stream's row visitor, into `grid` — the shape fill_slice_dense writes.
+template <typename D2>
+Score stream_into_grid(const SecondaryStructure& s1, const ColumnEvents& col_events,
+                       SliceBounds b, Matrix<Score>& grid, D2&& d2_of,
+                       McosStats* stats = nullptr) {
+  LeanSliceScratch rows;
+  KernelScratch kernel;
+  grid.resize(b.empty() ? 0 : static_cast<std::size_t>(b.width()),
+              b.empty() ? 0 : static_cast<std::size_t>(b.height()), -7);
+  return stream_slice_dense(s1, col_events, b, rows, SliceKernel{&kernel}, d2_of, stats,
+                            [&](Pos x, const Score* row, const LeanSliceScratch&) {
+                              std::copy(row, row + grid.cols(),
+                                        grid.row_data(static_cast<std::size_t>(x - b.lo1)));
+                            });
+}
+
+void expect_same_grid(const Matrix<Score>& actual, const Matrix<Score>& expected,
+                      const std::string& what) {
+  ASSERT_EQ(actual.rows(), expected.rows()) << what;
+  ASSERT_EQ(actual.cols(), expected.cols()) << what;
+  for (std::size_t r = 0; r < expected.rows(); ++r)
+    for (std::size_t c = 0; c < expected.cols(); ++c)
+      ASSERT_EQ(actual(r, c), expected(r, c)) << what << " cell (" << r << ", " << c << ")";
+}
 
 // SRNA2 driven entirely by the per-cell reference fill: the exact loop the
 // dense kernel is pinned against, stage one and stage two included.
@@ -86,40 +132,45 @@ TEST(KernelEquivalence, EventRunMatchesReferenceAndCompressedOnRandomPairs) {
 
 TEST(KernelEquivalence, AllVariantGridsAreCellIdenticalToReference) {
   // Stronger than the F check: the whole parent grid, cell by cell (the
-  // traceback and enumeration read interior cells, not just the corner).
-  // The position-dependent fake d2 is deliberately NOT a true DP oracle —
-  // its deltas violate the arc-match increment bound, so the kernel must
-  // be exact for arbitrary oracles, not just for memo reads.
+  // traceback and enumeration read interior cells, not just the corner),
+  // and the exact sequence of d2 calls — SRNA1's memoize-on-miss oracle and
+  // the lean store's LRU window both depend on it.
   KernelScratch scratch;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const auto s1 = random_structure(30, 0.6, 500 + seed);
     const auto s2 = random_structure(28, 0.6, 600 + seed);
-
-    // A nonzero, position-dependent d2 exercises the event cells properly.
-    auto fake_d2 = [](Pos k1, Pos x, Pos k2, Pos y) {
-      return static_cast<Score>((k1 + x + k2 + y) % 5);
-    };
     const SliceBounds bounds{0, s1.length() - 1, 0, s2.length() - 1};
+    const std::string what = "seed=" + std::to_string(seed);
 
+    std::vector<D2Call> expected_calls;
     Matrix<Score> expected;
     McosStats expected_stats;
-    fill_slice_dense_reference(s1, s2, bounds, expected, fake_d2, &expected_stats);
+    fill_slice_dense_reference(s1, s2, bounds, expected, RecordingD2{&expected_calls},
+                               &expected_stats);
 
     ColumnEvents col_events;
     col_events.build(s2);
-    Matrix<Score> actual;
-    McosStats actual_stats;
-    fill_slice_dense(s1, s2, col_events, bounds, actual, SliceKernel{&scratch}, fake_d2,
-                     &actual_stats);
+    std::vector<D2Call> dense_calls;
+    Matrix<Score> dense;
+    McosStats dense_stats;
+    fill_slice_dense(s1, s2, col_events, bounds, dense, SliceKernel{&scratch},
+                     RecordingD2{&dense_calls}, &dense_stats);
+    expect_same_grid(dense, expected, "dense " + what);
+    EXPECT_EQ(dense_calls, expected_calls) << what;
+    EXPECT_EQ(dense_stats.cells_tabulated, expected_stats.cells_tabulated);
+    EXPECT_EQ(dense_stats.arc_match_events, expected_stats.arc_match_events);
 
-    ASSERT_EQ(actual.rows(), expected.rows());
-    ASSERT_EQ(actual.cols(), expected.cols());
-    for (std::size_t r = 0; r < expected.rows(); ++r)
-      for (std::size_t c = 0; c < expected.cols(); ++c)
-        ASSERT_EQ(actual(r, c), expected(r, c))
-            << "seed=" << seed << " cell (" << r << ", " << c << ")";
-    EXPECT_EQ(actual_stats.cells_tabulated, expected_stats.cells_tabulated);
-    EXPECT_EQ(actual_stats.arc_match_events, expected_stats.arc_match_events);
+    std::vector<D2Call> stream_calls;
+    Matrix<Score> streamed;
+    McosStats stream_stats;
+    const Score corner = stream_into_grid(s1, col_events, bounds, streamed,
+                                          RecordingD2{&stream_calls}, &stream_stats);
+    expect_same_grid(streamed, expected, "stream " + what);
+    EXPECT_EQ(corner, expected(expected.rows() - 1, expected.cols() - 1)) << what;
+    EXPECT_EQ(stream_calls, expected_calls) << what;
+    EXPECT_EQ(stream_stats.cells_tabulated, expected_stats.cells_tabulated);
+    EXPECT_EQ(stream_stats.arc_match_events, expected_stats.arc_match_events);
+    EXPECT_EQ(stream_stats.slices_tabulated, 1u);
   }
 }
 
@@ -138,15 +189,72 @@ TEST(KernelEquivalence, VariantsHandleEventFreeAndSingleEventRows) {
   for (Pos lo2 = 0; lo2 < s2.length(); lo2 += 3) {
     for (Pos hi2 = lo2; hi2 < s2.length(); hi2 += 2) {
       const SliceBounds b{0, s1.length() - 1, lo2, hi2};
+      const std::string what = "lo2=" + std::to_string(lo2) + " hi2=" + std::to_string(hi2);
       Matrix<Score> expected;
-      fill_slice_dense_reference(s1, s2, b, expected, zero);
+      McosStats expected_stats;
+      fill_slice_dense_reference(s1, s2, b, expected, zero, &expected_stats);
       Matrix<Score> actual;
       fill_slice_dense(s1, s2, col_events, b, actual, SliceKernel{&scratch}, zero);
-      ASSERT_EQ(actual.rows(), expected.rows());
-      ASSERT_EQ(actual.cols(), expected.cols());
-      for (std::size_t r = 0; r < expected.rows(); ++r)
-        for (std::size_t c = 0; c < expected.cols(); ++c)
-          ASSERT_EQ(actual(r, c), expected(r, c)) << "lo2=" << lo2 << " hi2=" << hi2;
+      expect_same_grid(actual, expected, "dense " + what);
+
+      Matrix<Score> streamed;
+      McosStats stream_stats;
+      stream_into_grid(s1, col_events, b, streamed, zero, &stream_stats);
+      expect_same_grid(streamed, expected, "stream " + what);
+      EXPECT_EQ(stream_stats.cells_tabulated, expected_stats.cells_tabulated) << what;
+      EXPECT_EQ(stream_stats.arc_match_events, expected_stats.arc_match_events) << what;
+    }
+  }
+}
+
+TEST(KernelEquivalence, StreamResumesFromSavedRowAndRetainedStack) {
+  // The replay path of the lean traceback's grid view: snapshot the stream's
+  // state after row r — the finished row and the retained-row stack — then
+  // restart detail::stream_slice_rows from r + 1 with fresh scratch. Every
+  // remaining row, and the d2 calls that produce them, must match the
+  // reference. Interior bounds exercise the lo1/lo2 offsets.
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const auto s1 = random_structure(34, 0.7, 900 + seed);
+    const auto s2 = random_structure(31, 0.7, 950 + seed);
+    ColumnEvents col_events;
+    col_events.build(s2);
+    for (const SliceBounds b : {SliceBounds{0, s1.length() - 1, 0, s2.length() - 1},
+                                SliceBounds{2, s1.length() - 2, 1, s2.length() - 3}}) {
+      std::vector<D2Call> expected_calls;
+      Matrix<Score> expected;
+      fill_slice_dense_reference(s1, s2, b, expected, RecordingD2{&expected_calls});
+
+      // The stream's state after each row: its row becomes the next `up`.
+      std::vector<LeanSliceScratch> after;
+      LeanSliceScratch rows;
+      KernelScratch kernel;
+      std::vector<D2Call> ignored;
+      stream_slice_dense(s1, col_events, b, rows, SliceKernel{&kernel}, RecordingD2{&ignored},
+                         nullptr, [&](Pos, const Score*, const LeanSliceScratch& ws) {
+                           after.push_back(ws);
+                           after.back().prev = ws.cur;
+                         });
+
+      for (Pos restart = b.lo1; restart < b.hi1; ++restart) {
+        const std::string what = "seed=" + std::to_string(seed) + " restart=" +
+                                 std::to_string(restart) + " lo1=" + std::to_string(b.lo1);
+        LeanSliceScratch resumed = after[static_cast<std::size_t>(restart - b.lo1)];
+        Matrix<Score> grid = expected;  // rows past the restart must be rewritten
+        std::fill(grid.flat().begin() + (restart - b.lo1 + 1) * b.height(), grid.flat().end(), -7);
+        KernelScratch fresh;
+        std::vector<D2Call> calls;
+        detail::stream_slice_rows(s1, col_events, b, restart + 1, b.hi1, resumed,
+                                  SliceKernel{&fresh}, RecordingD2{&calls}, nullptr,
+                                  [&](Pos x, const Score* row, const LeanSliceScratch&) {
+                                    std::copy(row, row + grid.cols(),
+                                              grid.row_data(static_cast<std::size_t>(x - b.lo1)));
+                                  });
+        expect_same_grid(grid, expected, what);
+        std::vector<D2Call> tail;
+        std::copy_if(expected_calls.begin(), expected_calls.end(), std::back_inserter(tail),
+                     [&](const D2Call& call) { return call[1] > restart; });
+        EXPECT_EQ(calls, tail) << what;
+      }
     }
   }
 }
@@ -180,17 +288,26 @@ TEST(KernelEquivalence, EmptyAndArcFreeSlicesAgree) {
   Matrix<Score> a, b;
   McosStats sa, sb;
   auto zero = [](Pos, Pos, Pos, Pos) { return Score{0}; };
+  ColumnEvents col_events;
+  col_events.build(s);
+  Matrix<Score> c;
+  McosStats sc;
 
   // Arc-free restriction: the event span is empty, the whole row is one run.
   fill_slice_dense(s, s, SliceBounds{0, 1, 0, 1}, a, zero, &sa);
   fill_slice_dense_reference(s, s, SliceBounds{0, 1, 0, 1}, b, zero, &sb);
+  stream_into_grid(s, col_events, SliceBounds{0, 1, 0, 1}, c, zero, &sc);
   EXPECT_EQ(a(1, 1), b(1, 1));
+  expect_same_grid(c, b, "stream arc-free");
   EXPECT_EQ(sa.cells_tabulated, sb.cells_tabulated);
   EXPECT_EQ(sa.arc_match_events, sb.arc_match_events);
+  EXPECT_EQ(sc.cells_tabulated, sb.cells_tabulated);
+  EXPECT_EQ(sc.arc_match_events, sb.arc_match_events);
 
-  // Empty bounds resize to 0x0 in both.
+  // Empty bounds resize to 0x0 in both grid fills; the stream returns 0.
   fill_slice_dense(s, s, SliceBounds{3, 2, 0, 1}, a, zero);
   fill_slice_dense_reference(s, s, SliceBounds{3, 2, 0, 1}, b, zero);
+  EXPECT_EQ(stream_into_grid(s, col_events, SliceBounds{3, 2, 0, 1}, c, zero), 0);
   EXPECT_EQ(a.rows(), 0u);
   EXPECT_EQ(b.rows(), 0u);
 }

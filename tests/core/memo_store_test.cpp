@@ -1,13 +1,11 @@
-// The MemoStore interface contract and the windowed (space-lean) backend:
-// probe semantics, LRU eviction under a byte budget, peak accounting, and
-// the checkpoint row-restore path.
+// The windowed (space-lean) memo store: probe semantics, LRU eviction under
+// a byte budget, peak accounting, and the checkpoint row-restore path.
 #include "core/memo_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/memo_table.hpp"
 #include "rna/generators.hpp"
 #include "testing/builders.hpp"
 
@@ -25,26 +23,11 @@ std::vector<std::pair<Pos, Pos>> arc_pair_keys(const SecondaryStructure& s1,
   return keys;
 }
 
-TEST(MemoStoreInterface, DenseTableImplementsProbe) {
-  MemoTable table(6, 6, MemoTable::kUnset);
-  MemoStore& store = table;
-  EXPECT_STREQ(store.store_kind(), "dense");
-
-  Score v = 99;
-  EXPECT_FALSE(store.try_load(2, 3, v));  // sentinel reads as a miss
-  store.store(2, 3, 7);
-  ASSERT_TRUE(store.try_load(2, 3, v));
-  EXPECT_EQ(v, 7);
-  EXPECT_EQ(store.resident_bytes(), table.capacity_bytes());
-  EXPECT_GE(store.peak_resident_bytes(), store.resident_bytes());
-}
-
 TEST(WindowedMemoStore, UnlimitedBudgetRetainsEverything) {
   const auto s1 = random_structure(40, 0.6, 3);
   const auto s2 = random_structure(36, 0.6, 4);
   WindowedMemoStore store;
   store.configure(s1, s2, 0);
-  EXPECT_STREQ(store.store_kind(), "windowed");
   EXPECT_EQ(store.rows_total(), s1.arc_count());
   EXPECT_EQ(store.cols_total(), s2.arc_count());
 

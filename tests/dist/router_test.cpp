@@ -11,8 +11,6 @@
 #include "dist/router.hpp"
 
 #include <gtest/gtest.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <map>
@@ -67,50 +65,6 @@ struct Shard {
   std::unique_ptr<serve::TcpServer> server;
   std::unique_ptr<serve::AdminServer> admin;
   ShardAddress address;
-};
-
-// Blocking JSON-lines client; supports pipelining (send many, read many).
-class LineClient {
- public:
-  explicit LineClient(std::uint16_t port) {
-    fd_ = tcp_connect(Endpoint{"127.0.0.1", port}, 15000);
-  }
-  ~LineClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  LineClient(const LineClient&) = delete;
-  LineClient& operator=(const LineClient&) = delete;
-
-  [[nodiscard]] bool connected() const { return fd_ >= 0; }
-  [[nodiscard]] bool send_line(const std::string& line) {
-    return send_all(fd_, line + "\n");
-  }
-
-  // One line, or nullopt on EOF / 15s receive timeout (tests fail loudly
-  // instead of hanging).
-  std::optional<std::string> recv_line() {
-    for (;;) {
-      const std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return std::nullopt;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  std::optional<std::string> roundtrip(const std::string& line) {
-    if (!send_line(line)) return std::nullopt;
-    return recv_line();
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
 };
 
 // Rebuilds a response line without its volatile fields (trace identity and
@@ -173,17 +127,15 @@ TEST(Router, RoutedBytesEqualDirectServingBytes) {
   lines.push_back("this is not json");                       // transport error path
   lines.push_back(R"x({"id": 999, "a": "((", "b": "))"})x");  // solve error path
 
-  LineClient direct_client(direct.server->port());
-  LineClient routed_client(front.port());
-  ASSERT_TRUE(direct_client.connected());
-  ASSERT_TRUE(routed_client.connected());
+  // Receive timeouts: a lost response fails the test instead of hanging it.
+  LineClient direct_client(Endpoint{"127.0.0.1", direct.server->port()}, 15000);
+  LineClient routed_client(Endpoint{"127.0.0.1", front.port()}, 15000);
 
   for (const std::string& line : lines) {
-    const std::optional<std::string> from_direct = direct_client.roundtrip(line);
-    const std::optional<std::string> from_router = routed_client.roundtrip(line);
-    ASSERT_TRUE(from_direct.has_value()) << line;
-    ASSERT_TRUE(from_router.has_value()) << line;
-    EXPECT_EQ(stripped(*from_router), stripped(*from_direct)) << "request: " << line;
+    std::string from_direct, from_router;
+    ASSERT_NO_THROW(from_direct = direct_client.roundtrip(line)) << line;
+    ASSERT_NO_THROW(from_router = routed_client.roundtrip(line)) << line;
+    EXPECT_EQ(stripped(from_router), stripped(from_direct)) << "request: " << line;
   }
 
   front.stop();
@@ -198,18 +150,15 @@ TEST(Router, ResponsesEchoTheCanonicalPairDigest) {
         router.handle_line(line, emit);
       },
       "127.0.0.1", 0);
-  LineClient client(front.port());
-  ASSERT_TRUE(client.connected());
+  LineClient client(Endpoint{"127.0.0.1", front.port()}, 15000);
 
   const std::vector<std::string> pool = test_structures(2);
   const std::string expected =
       pair_digest_hex(parse_dot_bracket(pool[0]), parse_dot_bracket(pool[1]));
 
   for (int attempt = 0; attempt < 2; ++attempt) {  // miss, then cache hit
-    const std::optional<std::string> line =
-        client.roundtrip(request_line(attempt + 1, pool[0], pool[1]));
-    ASSERT_TRUE(line.has_value());
-    const serve::ServeResponse resp = serve::ServeResponse::from_line(*line);
+    const serve::ServeResponse resp = serve::ServeResponse::from_line(
+        client.roundtrip(request_line(attempt + 1, pool[0], pool[1])));
     ASSERT_EQ(resp.status, serve::ResponseStatus::kOk);
     EXPECT_EQ(resp.cache_hit, attempt == 1);
     // The digest is the wire form of the canonical structure-pair hash — the
@@ -232,8 +181,7 @@ TEST(Router, ExactlyOneResponsePerRequestAcrossAShardKill) {
         router.handle_line(line, emit);
       },
       "127.0.0.1", 0);
-  LineClient client(front.port());
-  ASSERT_TRUE(client.connected());
+  LineClient client(Endpoint{"127.0.0.1", front.port()}, 15000);
 
   const std::vector<std::string> pool = test_structures(8);
   constexpr std::int64_t kFirstWave = 40;
@@ -242,15 +190,14 @@ TEST(Router, ExactlyOneResponsePerRequestAcrossAShardKill) {
   // Pipeline the first wave, read a few responses, then kill one shard with
   // the rest still in flight.
   for (std::int64_t i = 0; i < kFirstWave; ++i)
-    ASSERT_TRUE(client.send_line(request_line(
-        i, pool[static_cast<std::size_t>(i) % pool.size()],
-        pool[static_cast<std::size_t>(i + 1) % pool.size()])));
+    client.send(request_line(i, pool[static_cast<std::size_t>(i) % pool.size()],
+                             pool[static_cast<std::size_t>(i + 1) % pool.size()]));
 
   std::map<std::int64_t, serve::ServeResponse> responses;
   for (int got = 0; got < 10; ++got) {
-    const std::optional<std::string> line = client.recv_line();
-    ASSERT_TRUE(line.has_value()) << "lost a response before the kill";
-    const serve::ServeResponse resp = serve::ServeResponse::from_line(*line);
+    std::string line;
+    ASSERT_NO_THROW(line = client.receive()) << "lost a response before the kill";
+    const serve::ServeResponse resp = serve::ServeResponse::from_line(line);
     ASSERT_TRUE(responses.emplace(resp.id, resp).second)
         << "duplicate response for id " << resp.id;
   }
@@ -258,24 +205,23 @@ TEST(Router, ExactlyOneResponsePerRequestAcrossAShardKill) {
   s0.kill();  // in-flight requests on s0 must fail over to s1
 
   while (responses.size() < static_cast<std::size_t>(kFirstWave)) {
-    const std::optional<std::string> line = client.recv_line();
-    ASSERT_TRUE(line.has_value())
+    std::string line;
+    ASSERT_NO_THROW(line = client.receive())
         << "lost a response after the kill (" << responses.size() << " of "
         << kFirstWave << " arrived)";
-    const serve::ServeResponse resp = serve::ServeResponse::from_line(*line);
+    const serve::ServeResponse resp = serve::ServeResponse::from_line(line);
     ASSERT_TRUE(responses.emplace(resp.id, resp).second)
         << "duplicate response for id " << resp.id;
   }
 
   // A second wave against the degraded fleet: everything lands on s1.
   for (std::int64_t i = kFirstWave; i < kFirstWave + kSecondWave; ++i)
-    ASSERT_TRUE(client.send_line(request_line(
-        i, pool[static_cast<std::size_t>(i) % pool.size()],
-        pool[static_cast<std::size_t>(i + 1) % pool.size()])));
+    client.send(request_line(i, pool[static_cast<std::size_t>(i) % pool.size()],
+                             pool[static_cast<std::size_t>(i + 1) % pool.size()]));
   while (responses.size() < static_cast<std::size_t>(kFirstWave + kSecondWave)) {
-    const std::optional<std::string> line = client.recv_line();
-    ASSERT_TRUE(line.has_value()) << "lost a response in the degraded fleet";
-    const serve::ServeResponse resp = serve::ServeResponse::from_line(*line);
+    std::string line;
+    ASSERT_NO_THROW(line = client.receive()) << "lost a response in the degraded fleet";
+    const serve::ServeResponse resp = serve::ServeResponse::from_line(line);
     ASSERT_TRUE(responses.emplace(resp.id, resp).second)
         << "duplicate response for id " << resp.id;
   }
@@ -284,7 +230,8 @@ TEST(Router, ExactlyOneResponsePerRequestAcrossAShardKill) {
   // solved — a kill mid-run costs retries, never answers.
   for (std::int64_t i = 0; i < kFirstWave + kSecondWave; ++i) {
     ASSERT_TRUE(responses.count(i) == 1) << "id " << i;
-    EXPECT_EQ(responses[i].status, serve::ResponseStatus::kOk) << "id " << i;
+    EXPECT_EQ(responses[i].status, serve::ResponseStatus::kOk)
+        << "id " << i << ": " << responses[i].error;
   }
 
   front.stop();
@@ -316,18 +263,18 @@ TEST(Router, OverlongShardLineFailsOverLikeADeadLink) {
         router.handle_line(line, emit);
       },
       "127.0.0.1", 0);
-  LineClient client(front.port());
-  ASSERT_TRUE(client.connected());
+  LineClient client(Endpoint{"127.0.0.1", front.port()}, 15000);
 
   // Distinct pairs spread over both shards' ring ranges.
   const std::vector<std::string> pool = test_structures(8);
   constexpr std::int64_t kRequests = 16;
   for (std::int64_t i = 0; i < kRequests; ++i) {
-    const std::optional<std::string> line = client.roundtrip(
-        request_line(i, pool[static_cast<std::size_t>(i) % pool.size()],
-                     pool[static_cast<std::size_t>(i / 2 + 3) % pool.size()]));
-    ASSERT_TRUE(line.has_value()) << "lost the response to id " << i;
-    const serve::ServeResponse resp = serve::ServeResponse::from_line(*line);
+    std::string line;
+    ASSERT_NO_THROW(line = client.roundtrip(request_line(
+                        i, pool[static_cast<std::size_t>(i) % pool.size()],
+                        pool[static_cast<std::size_t>(i / 2 + 3) % pool.size()])))
+        << "lost the response to id " << i;
+    const serve::ServeResponse resp = serve::ServeResponse::from_line(line);
     EXPECT_EQ(resp.id, i);
     EXPECT_EQ(resp.status, serve::ResponseStatus::kOk) << resp.error;
   }

@@ -5,8 +5,6 @@
 // hop fields (attempts / shard / router_queued_ms) traced responses gain,
 // and the merged /flightz view spanning router + shard rings.
 #include <gtest/gtest.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <map>
@@ -51,40 +49,6 @@ struct Shard {
   std::unique_ptr<serve::TcpServer> server;
   std::unique_ptr<serve::AdminServer> admin;
   ShardAddress address;
-};
-
-class LineClient {
- public:
-  explicit LineClient(std::uint16_t port) {
-    fd_ = tcp_connect(Endpoint{"127.0.0.1", port}, 15000);
-  }
-  ~LineClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  LineClient(const LineClient&) = delete;
-  LineClient& operator=(const LineClient&) = delete;
-
-  [[nodiscard]] bool connected() const { return fd_ >= 0; }
-
-  std::optional<std::string> roundtrip(const std::string& line) {
-    if (!send_all(fd_, line + "\n")) return std::nullopt;
-    for (;;) {
-      const std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string out = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return out;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return std::nullopt;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
 };
 
 RouterConfig fast_probe_config(const std::vector<ShardAddress>& shards) {
@@ -132,17 +96,15 @@ TEST_F(DistTracePropagationTest, RouterMintsOneIdSpanningDispatchAndSolve) {
         router.handle_line(line, emit);
       },
       "127.0.0.1", 0);
-  LineClient client(front.port());
-  ASSERT_TRUE(client.connected());
+  LineClient client(Endpoint{"127.0.0.1", front.port()}, 15000);
 
   serve::ServeRequest req;
   req.id = 1;
   req.a = "((.(..).))";
   req.b = "((..))";
   req.trace = true;
-  const std::optional<std::string> line = client.roundtrip(req.to_line());
-  ASSERT_TRUE(line.has_value());
-  const serve::ServeResponse resp = serve::ServeResponse::from_line(*line);
+  const std::string line = client.roundtrip(req.to_line());
+  const serve::ServeResponse resp = serve::ServeResponse::from_line(line);
   front.stop();
   router.stop();
   shard.service->drain();
@@ -174,8 +136,7 @@ TEST_F(DistTracePropagationTest, ClientSuppliedTraceIdSurvivesEndToEnd) {
         router.handle_line(line, emit);
       },
       "127.0.0.1", 0);
-  LineClient client(front.port());
-  ASSERT_TRUE(client.connected());
+  LineClient client(Endpoint{"127.0.0.1", front.port()}, 15000);
 
   serve::ServeRequest req;
   req.id = 5;
@@ -183,11 +144,10 @@ TEST_F(DistTracePropagationTest, ClientSuppliedTraceIdSurvivesEndToEnd) {
   req.b = "(..)";
   req.trace = true;
   req.trace_id = 4242;  // caller joins an existing trace; nobody re-mints
-  const std::optional<std::string> line = client.roundtrip(req.to_line());
+  const std::string line = client.roundtrip(req.to_line());
   front.stop();
   router.stop();
-  ASSERT_TRUE(line.has_value());
-  const serve::ServeResponse resp = serve::ServeResponse::from_line(*line);
+  const serve::ServeResponse resp = serve::ServeResponse::from_line(line);
   ASSERT_EQ(resp.status, serve::ResponseStatus::kOk);
   EXPECT_EQ(resp.trace_id, 4242u);
 }
@@ -200,22 +160,20 @@ TEST_F(DistTracePropagationTest, UntracedResponsesCarryNoHopFields) {
         router.handle_line(line, emit);
       },
       "127.0.0.1", 0);
-  LineClient client(front.port());
-  ASSERT_TRUE(client.connected());
+  LineClient client(Endpoint{"127.0.0.1", front.port()}, 15000);
 
   serve::ServeRequest req;
   req.id = 2;
   req.a = "((..))";
   req.b = "(..)";
-  const std::optional<std::string> line = client.roundtrip(req.to_line());
+  const std::string line = client.roundtrip(req.to_line());
   front.stop();
   router.stop();
-  ASSERT_TRUE(line.has_value());
   // Byte-level: untraced routed responses must stay identical to direct
   // serving, so the hop fields may not even appear as keys.
-  EXPECT_EQ(line->find("\"attempts\""), std::string::npos) << *line;
-  EXPECT_EQ(line->find("\"router_queued_ms\""), std::string::npos) << *line;
-  const serve::ServeResponse resp = serve::ServeResponse::from_line(*line);
+  EXPECT_EQ(line.find("\"attempts\""), std::string::npos) << line;
+  EXPECT_EQ(line.find("\"router_queued_ms\""), std::string::npos) << line;
+  const serve::ServeResponse resp = serve::ServeResponse::from_line(line);
   ASSERT_EQ(resp.status, serve::ResponseStatus::kOk);
   EXPECT_EQ(resp.attempts, 0u);
   EXPECT_TRUE(resp.shard.empty());
@@ -229,17 +187,15 @@ TEST_F(DistTracePropagationTest, MergedFlightzInterleavesRouterAndShardRecords) 
         router.handle_line(line, emit);
       },
       "127.0.0.1", 0);
-  LineClient client(front.port());
-  ASSERT_TRUE(client.connected());
+  LineClient client(Endpoint{"127.0.0.1", front.port()}, 15000);
 
   serve::ServeRequest req;
   req.id = 9;
   req.a = "((.(..).))";
   req.b = "((..))";
   req.trace = true;
-  const std::optional<std::string> line = client.roundtrip(req.to_line());
-  ASSERT_TRUE(line.has_value());
-  const serve::ServeResponse resp = serve::ServeResponse::from_line(*line);
+  const std::string line = client.roundtrip(req.to_line());
+  const serve::ServeResponse resp = serve::ServeResponse::from_line(line);
   ASSERT_EQ(resp.status, serve::ResponseStatus::kOk);
 
   // The in-band admin view merges the router's own ring with every shard's

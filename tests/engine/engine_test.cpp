@@ -73,11 +73,6 @@ TEST(EngineValidation, RejectsKnobsTheBackendCannotHonor) {
   EXPECT_NO_THROW(engine.at("prna-mpi-sim").validate(ranked));
   EXPECT_THROW(engine.at("prna").validate(ranked), std::invalid_argument);
 
-  SolverConfig wavefront;
-  wavefront.parallel_stage2 = true;
-  EXPECT_NO_THROW(engine.at("prna").validate(wavefront));
-  EXPECT_THROW(engine.at("srna2").validate(wavefront), std::invalid_argument);
-
   // prna-steal is pinned to the stealing schedule: the barrier schedules are
   // `prna`'s business, and `balance` only means anything to those.
   SolverConfig dynamic_schedule;

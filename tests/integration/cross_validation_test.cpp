@@ -6,7 +6,7 @@
 // Implementations covered per instance:
 //   srna1 (dense, compressed, hash-map memo), srna2 (dense, compressed,
 //   validated-memo), PRNA-OpenMP (1 and 3 threads, static and dynamic
-//   schedule, wavefront stage two), PRNA-MPI (1 and 3 ranks),
+//   schedule), PRNA-MPI (1 and 3 ranks),
 //   checkpointed SRNA2 (interrupted and resumed), traceback witness size,
 //   witness enumeration value, weighted similarity at unit scoring.
 #include <gtest/gtest.h>
@@ -83,12 +83,6 @@ TEST_P(CrossValidation, EveryImplementationAgrees) {
     EXPECT_EQ(prna(s1, s2, opt).value, expected) << "prna static t=" << threads;
     opt.schedule = PrnaSchedule::kDynamic;
     EXPECT_EQ(prna(s1, s2, opt).value, expected) << "prna dynamic t=" << threads;
-  }
-  {
-    PrnaOptions wave;
-    wave.num_threads = 2;
-    wave.parallel_stage2 = true;
-    EXPECT_EQ(prna(s1, s2, wave).value, expected) << "prna wavefront";
   }
 
   // Message-passing PRNA.

@@ -139,36 +139,6 @@ TEST(Prna, DynamicScheduleWorstCase) {
   EXPECT_EQ(prna(s, s, dyn).value, 30);
 }
 
-TEST(Prna, WavefrontStageTwoMatchesSequential) {
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const auto s1 = random_structure(55, 0.5, seed);
-    const auto s2 = random_structure(62, 0.5, seed + 9);
-    PrnaOptions seq;
-    seq.num_threads = 2;
-    PrnaOptions wave = seq;
-    wave.parallel_stage2 = true;
-    EXPECT_EQ(prna(s1, s2, wave).value, prna(s1, s2, seq).value) << seed;
-  }
-}
-
-TEST(Prna, WavefrontStageTwoWorstCaseAndEdges) {
-  PrnaOptions wave;
-  wave.num_threads = 4;
-  wave.parallel_stage2 = true;
-  const auto s = worst_case_structure(70);
-  EXPECT_EQ(prna(s, s, wave).value, 35);
-  EXPECT_EQ(prna(SecondaryStructure(0), SecondaryStructure(0), wave).value, 0);
-  EXPECT_EQ(prna(db("..."), db(".."), wave).value, 0);
-}
-
-TEST(Prna, WavefrontRequiresDenseLayout) {
-  PrnaOptions wave;
-  wave.parallel_stage2 = true;
-  wave.layout = SliceLayout::kCompressed;
-  const auto s = db("(.)");
-  EXPECT_THROW(prna(s, s, wave), std::invalid_argument);
-}
-
 TEST(Prna, ManyMoreThreadsThanColumns) {
   const auto s = db("((..))");  // 2 arcs only
   PrnaOptions opt;
@@ -350,22 +320,10 @@ TEST(PrnaStealing, ExceptionPropagatesToCaller) {
   }
 }
 
-TEST(PrnaStealing, WavefrontStageTwoComposes) {
-  const auto s = worst_case_structure(60);
-  PrnaOptions opt;
-  opt.num_threads = 4;
-  opt.schedule = PrnaSchedule::kStealing;
-  opt.parallel_stage2 = true;
-  EXPECT_EQ(prna(s, s, opt).value, 30);
-}
-
 TEST(PrnaStealing, UseStdThreadsRequiresStealingSchedule) {
   const auto s = db("(.)");
   PrnaOptions opt;
   opt.use_std_threads = true;  // schedule left at kStaticColumns
-  EXPECT_THROW(prna(s, s, opt), std::invalid_argument);
-  opt.schedule = PrnaSchedule::kStealing;
-  opt.parallel_stage2 = true;  // OpenMP wavefront is incompatible with the shim
   EXPECT_THROW(prna(s, s, opt), std::invalid_argument);
 }
 

@@ -22,8 +22,6 @@
 // turns the scaling claim into an exit code for CI
 // (scripts/check_bench_report.sh gates the committed
 // BENCH_serving_distributed.json with it).
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -51,42 +49,6 @@ namespace {
 
 using namespace srna;
 using Clock = std::chrono::steady_clock;
-
-// Blocking JSON-lines client on the dist socket helpers; one request in
-// flight per connection.
-class LineClient {
- public:
-  explicit LineClient(const dist::Endpoint& endpoint) {
-    fd_ = dist::tcp_connect(endpoint, 30000);
-    if (fd_ < 0) throw std::runtime_error("cannot connect to " + endpoint.to_string());
-  }
-  ~LineClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  LineClient(const LineClient&) = delete;
-  LineClient& operator=(const LineClient&) = delete;
-
-  serve::ServeResponse roundtrip(const serve::ServeRequest& req) {
-    if (!dist::send_all(fd_, req.to_line() + "\n"))
-      throw std::runtime_error("send failed (server gone?)");
-    for (;;) {
-      const std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        const std::string line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return serve::ServeResponse::from_line(line);
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) throw std::runtime_error("connection closed mid-response");
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 struct InstanceResult {
   std::string instance;
@@ -174,12 +136,13 @@ InstanceResult drive(const dist::Endpoint& endpoint, const BenchConfig& bench,
   std::vector<std::thread> clients;
   for (int c = 0; c < bench.concurrency; ++c) {
     clients.emplace_back([&] {
-      LineClient client(endpoint);
+      dist::LineClient client(endpoint, 30000);
       for (std::uint64_t i = next.fetch_add(1); i < requests; i = next.fetch_add(1)) {
         serve::ServeRequest req = pool[i % pool.size()];
         req.id = static_cast<std::int64_t>(i);
         const Clock::time_point start = Clock::now();
-        const serve::ServeResponse resp = client.roundtrip(req);
+        const serve::ServeResponse resp =
+            serve::ServeResponse::from_line(client.roundtrip(req.to_line()));
         const double ms =
             std::chrono::duration<double, std::milli>(Clock::now() - start).count();
         answered.fetch_add(1);

@@ -21,16 +21,10 @@
 // Results: human summary on stdout plus a machine-readable report
 // (default BENCH_serving_throughput.json; --output=none to skip) with
 // throughput, exact p50/p90/p99 latency, status counts, and cache hit rate.
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -40,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "dist/net.hpp"
 #include "obs/report.hpp"
 #include "rna/dot_bracket.hpp"
 #include "rna/generators.hpp"
@@ -172,63 +167,6 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[rank];
 }
 
-// Minimal blocking JSON-lines client: one request in flight per connection.
-class TcpClient {
- public:
-  explicit TcpClient(const std::string& endpoint) {
-    const std::size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos)
-      throw std::invalid_argument("--connect expects HOST:PORT, got '" + endpoint + "'");
-    const std::string host = endpoint.substr(0, colon);
-    const std::string port = endpoint.substr(colon + 1);
-
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* res = nullptr;
-    if (::getaddrinfo(host.c_str(), port.c_str(), &hints, &res) != 0 || res == nullptr)
-      throw std::runtime_error("cannot resolve " + endpoint);
-    fd_ = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
-    if (fd_ < 0 || ::connect(fd_, res->ai_addr, res->ai_addrlen) != 0) {
-      ::freeaddrinfo(res);
-      if (fd_ >= 0) ::close(fd_);
-      throw std::runtime_error("cannot connect to " + endpoint);
-    }
-    ::freeaddrinfo(res);
-  }
-  ~TcpClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  TcpClient(const TcpClient&) = delete;
-  TcpClient& operator=(const TcpClient&) = delete;
-
-  serve::ServeResponse roundtrip(const serve::ServeRequest& req) {
-    const std::string line = req.to_line() + "\n";
-    std::size_t sent = 0;
-    while (sent < line.size()) {
-      const ssize_t n = ::send(fd_, line.data() + sent, line.size() - sent, 0);
-      if (n <= 0) throw std::runtime_error("send failed (server gone?)");
-      sent += static_cast<std::size_t>(n);
-    }
-    for (;;) {
-      const std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        const std::string resp_line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return serve::ServeResponse::from_line(resp_line);
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) throw std::runtime_error("connection closed mid-response");
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -290,6 +228,8 @@ int main(int argc, char** argv) {
     Tally tally;
     const std::string mode = cli.str("mode");
     const std::vector<std::string> endpoints = cli.str_list("connect");
+    std::vector<dist::Endpoint> addresses;
+    for (const std::string& text : endpoints) addresses.push_back(dist::parse_endpoint(text));
     if (mode != "closed" && mode != "open")
       throw std::invalid_argument("--mode must be 'closed' or 'open'");
     if (mode == "open" && !endpoints.empty())
@@ -315,14 +255,16 @@ int main(int argc, char** argv) {
       for (int c = 0; c < concurrency; ++c) {
         clients.emplace_back([&] {
           try {
-            std::vector<std::unique_ptr<TcpClient>> conns(nendpoints);
+            std::vector<std::unique_ptr<dist::LineClient>> conns(nendpoints);
             for (std::uint64_t i = next.fetch_add(1); i < requests;
                  i = next.fetch_add(1)) {
               const std::size_t e = static_cast<std::size_t>(i % nendpoints);
-              if (!conns[e]) conns[e] = std::make_unique<TcpClient>(endpoints[e]);
+              // No socket timeouts: a slow solve is a latency sample, not an
+              // error.
+              if (!conns[e]) conns[e] = std::make_unique<dist::LineClient>(addresses[e], 0);
               const Clock::time_point start = Clock::now();
-              const serve::ServeResponse resp =
-                  conns[e]->roundtrip(workload.request(seed, i));
+              const serve::ServeResponse resp = serve::ServeResponse::from_line(
+                  conns[e]->roundtrip(workload.request(seed, i).to_line()));
               const double ms = std::chrono::duration<double, std::milli>(
                                     Clock::now() - start).count();
               tally.record(resp, ms);
