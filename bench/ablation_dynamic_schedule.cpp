@@ -6,12 +6,12 @@
 // in every row). The conventional alternative — idle workers pulling slices
 // from a queue — balances at least as well per row but pays a dispatch
 // cost per task and needs a centralized queue (awkward on distributed
-// memory). The simulator quantifies the trade-off; a real shared-memory
-// cross-check confirms both produce identical values.
+// memory). The simulator quantifies the trade-off. (The shared-memory
+// solver has no dynamic schedule: its barrier-free alternative is
+// prna-steal, compared in figure8_speedup.)
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "engine/engine.hpp"
 #include "parallel/cluster_sim.hpp"
 #include "rna/generators.hpp"
 #include "util/cli.hpp"
@@ -49,19 +49,8 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-
-  // Real shared-memory cross-check: identical answers either way.
-  const auto small = worst_case_structure(200);
-  SolverConfig stat;
-  stat.threads = 3;
-  SolverConfig dyn = stat;
-  dyn.schedule = PrnaSchedule::kDynamic;
-  const auto vs = engine_solve("prna", small, small, stat).value;
-  const auto vd = engine_solve("prna", small, small, dyn).value;
-  std::cout << "\nreal PRNA cross-check (L=200, 3 threads): static=" << vs
-            << " dynamic=" << vd << (vs == vd ? "  [agree]\n" : "  [BUG]\n");
   std::cout << "\nshape check: on the product-form workload the static schedule\n"
                "matches dynamic balance without the per-slice dispatch cost —\n"
                "the paper's preprocessing-time load balance is sufficient.\n";
-  return vs == vd ? 0 : 1;
+  return 0;
 }

@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
   cli.add_option("balance", "lpt | block | cyclic", "lpt");
   cli.add_option("real-threads", "threads for the real PRNA cross-check (0 = skip)", "2");
   cli.add_option("schedule-threads",
-                 "thread counts for the real schedule comparison (static vs dynamic vs "
-                 "stealing; skipped when --real-threads=0)", "1,2,4");
+                 "thread counts for the real schedule comparison (static vs stealing; "
+                 "skipped when --real-threads=0)", "1,2,4");
   cli.add_flag("skip-rrna", "omit the Table II rRNA pair from the schedule comparison "
                "(keeps only the L=400 worst case)");
   cli.add_flag("csv", "emit CSV instead of the aligned table");
@@ -125,9 +125,9 @@ int main(int argc, char** argv) {
     bench_report.report().set("real_prna_cross_check", std::move(check));
   }
 
-  // Real schedule comparison: the two barrier schedules against the
+  // Real schedule comparison: the paper's barrier schedule against the
   // barrier-free dependency-driven one (kStealing), with the synchronization
-  // cost each pays — barrier_wait for the level schedules, steal_idle for
+  // cost each pays — barrier_wait for the static schedule, steal_idle for
   // the stealing one. Rows land in the run report as schedule_rows so the
   // benchmark trajectory captures the scheduling win, not just totals.
   if (threads > 0) {
@@ -136,7 +136,6 @@ int main(int argc, char** argv) {
       PrnaSchedule schedule;
     };
     const ScheduleCase schedules[] = {{"static", PrnaSchedule::kStaticColumns},
-                                      {"dynamic", PrnaSchedule::kDynamic},
                                       {"stealing", PrnaSchedule::kStealing}};
     std::vector<std::pair<std::string, SecondaryStructure>> instances;
     instances.emplace_back("worst_case_L400", worst_case_structure(400));
@@ -144,7 +143,7 @@ int main(int argc, char** argv) {
       instances.emplace_back("fungus_rrna_4216x721", rrna_like_structure(4216, 721, 2012));
 
     bench::print_header(
-        "Schedule comparison — barrier (static/dynamic) vs dependency-driven (stealing)",
+        "Schedule comparison — barrier (static) vs dependency-driven (stealing)",
         "stage-one synchronization cost on this host; Table II pair + L400 worst case");
     TablePrinter sched_table({"instance", "schedule", "threads", "wall[s]", "speedup",
                               "ceiling", "barrier_wait[s]", "steal_idle[s]", "steals"});

@@ -76,8 +76,10 @@ void BM_CompressedSliceKernel(benchmark::State& state) {
   const auto s = worst_case_structure(length);
   const ArcIndex idx(s);
   EventScratch scratch;
+  KernelScratch kernel_scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tabulate_slice_compressed(idx.all(), idx.all(), scratch, zero_d2));
+    benchmark::DoNotOptimize(tabulate_slice_compressed(
+        idx.all(), idx.all(), scratch, SliceKernel{&kernel_scratch}, zero_d2));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(idx.size()) *
                           static_cast<std::int64_t>(idx.size()));

@@ -22,12 +22,12 @@
 #                      forms, connection buffers stay in bounds.
 #
 # The tree is configured with -DSRNA_DISABLE_SIMD=ON: the scalar
-# instantiation of the one dense slice kernel is the sanitized path by
+# instantiation of the one slice row routine is the sanitized path by
 # contract (intrinsics hide byte-level accesses from the instrumentation).
-# Every dense caller — srna1/srna2/prna, checkpoint-resume, prna-mpi-sim,
-# traceback, enumeration and the srna-lean row stream — runs that kernel,
-# and the kernel-equivalence suite pins its SIMD legs bit-identical to the
-# scalar code this run vets.
+# Every slice under either layout — srna1/srna2/prna, checkpoint-resume,
+# prna-mpi-sim, traceback, enumeration, the compressed event grid and the
+# srna-lean row stream — runs that routine, and the kernel-equivalence
+# suite pins its SIMD legs bit-identical to the scalar code this run vets.
 #
 # Usage: scripts/check_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail

@@ -27,16 +27,17 @@
 #     counters, and the memo-table publication protocol, all fully
 #     TSan-modeled (tests/parallel/prna_test.cpp, PrnaStealingShim.*).
 #
-# The OpenMP solvers (PRNA's barrier schedules, and the stealing schedule's
-# default dispatch) are deliberately excluded: GCC's libgomp is not
+# The OpenMP solvers (PRNA's static barrier schedule, and the stealing
+# schedule's default dispatch) are deliberately excluded: GCC's libgomp is not
 # TSan-instrumented, so its barriers are invisible to the tool and every
 # barrier-ordered memo-table access reports as a false race. The ordering
 # guarantee those barriers provide is tested functionally instead
 # (PrnaOptions::validate_memo in tests/parallel/prna_test.cpp).
 #
 # Configured with -DSRNA_DISABLE_SIMD=ON so worker threads run the scalar
-# instantiation of the one dense slice kernel (pinned bit-identical to the
-# SIMD legs by the kernel-equivalence suite) under instrumentation.
+# instantiation of the one slice row routine, under both layouts (pinned
+# bit-identical to the SIMD legs by the kernel-equivalence suite), under
+# instrumentation.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail

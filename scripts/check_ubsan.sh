@@ -19,9 +19,10 @@
 #                      and the critical-path analyzer.
 #
 # Configured with -DSRNA_DISABLE_SIMD=ON so the scalar instantiation of the
-# one dense slice kernel — what every dense caller and the srna-lean row
-# stream run, pinned bit-identical to the SIMD legs by the
-# kernel-equivalence suite — is the path UBSan instruments.
+# one slice row routine — what every slice under either layout runs (dense
+# grids, the compressed event grid and the srna-lean row stream), pinned
+# bit-identical to the SIMD legs by the kernel-equivalence suite — is the
+# path UBSan instruments.
 #
 # Usage: scripts/check_ubsan.sh [build-dir]   (default: build-ubsan)
 set -euo pipefail

@@ -9,9 +9,8 @@
 #include <optional>
 #include <vector>
 
-#include "core/arc_index.hpp"
 #include "core/memo_table.hpp"
-#include "core/tabulate_slice.hpp"
+#include "core/slice_tabulator.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
 
@@ -215,37 +214,29 @@ CheckpointedRun srna2_checkpointed(const SecondaryStructure& s1, const Secondary
                                    const McosOptions& options, const CheckpointPolicy& policy) {
   SRNA_REQUIRE(s1.is_nonpseudoknot() && s2.is_nonpseudoknot(),
                "MCOS model requires non-pseudoknot structures");
-  SRNA_REQUIRE(options.layout == SliceLayout::kDense,
-               "checkpointing currently supports the dense layout");
 
-  const ArcIndex idx1(s1);
-  const ArcIndex idx2(s2);
+  ColumnEvents col_events;
+  const SliceTabulator slices(s1, s2, col_events.build(s2), options.layout);
+  const ArcIndex& idx1 = slices.arcs1();
+  const ArcIndex& idx2 = slices.arcs2();
   MemoTable memo(s1.length(), s2.length(), 0);
   McosStats stats;
   auto d2_lookup = [&](Pos k1, Pos /*x*/, Pos k2, Pos /*y*/) -> Score {
     return memo.get(k1 + 1, k2 + 1);
   };
-  Matrix<Score> scratch;
-  ColumnEvents col_events;
-  col_events.build(s2);
-  KernelScratch kernel_scratch;
-  const SliceKernel kernel{&kernel_scratch};
+  SliceScratch scratch;
 
   // Stage one writes exactly the cells (arc1.left + 1, arc2.left + 1): a
-  // completed row of S1 arc `a` is those cells over every S2 arc.
+  // completed row of S1 arc `a` is those cells over every S2 arc, the same
+  // values under either layout.
   std::vector<Score> row_values(idx2.size());
   detail::CheckpointedSolver solver;
   solver.all_rows = true;
   solver.tabulate_row = [&](std::uint64_t a) {
-    const Arc arc1 = idx1.arc(static_cast<std::size_t>(a));
-    for (std::size_t b = 0; b < idx2.size(); ++b) {
-      const Arc arc2 = idx2.arc(b);
-      const Score value = tabulate_slice_dense(
-          s1, s2, col_events,
-          SliceBounds::under(arc1.left, arc1.right, arc2.left, arc2.right), scratch,
-          kernel, d2_lookup, &stats);
-      memo.set(arc1.left + 1, arc2.left + 1, value);
-    }
+    const auto row = static_cast<std::size_t>(a);
+    const Pos i1 = idx1.arc(row).left + 1;
+    for (std::size_t b = 0; b < idx2.size(); ++b)
+      memo.set(i1, idx2.arc(b).left + 1, slices.child(row, b, scratch, d2_lookup, &stats));
   };
   solver.saved = [](std::uint64_t a, std::uint64_t done) { return a < done; };
   solver.row = [&](std::uint64_t a) -> std::span<const Score> {
@@ -259,11 +250,7 @@ CheckpointedRun srna2_checkpointed(const SecondaryStructure& s1, const Secondary
     for (std::size_t b = 0; b < idx2.size(); ++b)
       memo.set(arc1.left + 1, idx2.arc(b).left + 1, values[b]);
   };
-  solver.stage_two = [&] {
-    return tabulate_slice_dense(s1, s2, col_events,
-                                SliceBounds{0, s1.length() - 1, 0, s2.length() - 1}, scratch,
-                                kernel, d2_lookup, &stats);
-  };
+  solver.stage_two = [&] { return slices.parent(scratch, d2_lookup, &stats); };
   return detail::run_checkpointed(s1, s2, policy, stats, solver);
 }
 

@@ -56,10 +56,12 @@ struct CheckpointedRun {
   McosResult result;                 // valid only when complete
 };
 
-// SRNA2 with checkpointing (dense layout). Throws std::invalid_argument on
-// a checkpoint that does not match the inputs (wrong sizes or arc sets) or
-// fails any of the loader's checks — resuming against different structures
-// or a damaged file would silently corrupt the answer.
+// SRNA2 with checkpointing, under either layout: the saved memo rows do not
+// depend on it, so a run may resume under the other. Throws
+// std::invalid_argument on a checkpoint that does not match the inputs
+// (wrong sizes or arc sets) or fails any of the loader's checks — resuming
+// against different structures or a damaged file would silently corrupt the
+// answer.
 CheckpointedRun srna2_checkpointed(const SecondaryStructure& s1, const SecondaryStructure& s2,
                                    const McosOptions& options, const CheckpointPolicy& policy);
 

@@ -13,8 +13,8 @@ namespace srna::detail {
 // Runs SRNA2 and leaves the fully populated memo table in `memo` (which must
 // be sized n × m). The traceback re-derives matched arcs from it without
 // re-running stage one per nesting level. Returns F(0, n-1, 0, m-1).
-// Slice scratch comes from `scratch` (dense_grid(0) / events(0)); the
-// single-argument-less overload uses the calling thread's pooled workspace.
+// Slice scratch comes from `scratch` (slice_scratch(0)); the overload
+// without a Workspace uses the calling thread's pooled workspace.
 Score run_srna2(const SecondaryStructure& s1, const SecondaryStructure& s2,
                 const McosOptions& options, McosStats& stats, MemoTable& memo,
                 Workspace& scratch);

@@ -90,7 +90,7 @@ void stream_slice_rows(const SecondaryStructure& s1, const ColumnEvents& col_eve
                        SliceBounds b, Pos x_begin, Pos x_end, LeanSliceScratch& ws,
                        SliceKernel kernel, D2&& d2_of, McosStats* stats, RowVisitor&& visit) {
   const auto cols = static_cast<std::size_t>(b.height());
-  const std::span<const ColumnEvents::Event> events = col_events.in_range(b.lo2, b.hi2);
+  const std::span<const Arc> events = col_events.in_range(b.lo2, b.hi2);
   KernelScratch& ks = *kernel.scratch;
   const PreparedEvents prep = prepare_kernel_events(events, b.lo2, ks);
 

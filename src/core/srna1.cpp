@@ -10,14 +10,12 @@
 // memoized by earlier events of the spawning slice (tested in
 // tests/core/srna1_test.cpp).
 
-#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 
-#include "core/arc_index.hpp"
 #include "core/mcos.hpp"
 #include "core/memo_table.hpp"
-#include "core/tabulate_slice.hpp"
+#include "core/slice_tabulator.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
@@ -30,27 +28,13 @@ class Srna1Runner {
  public:
   Srna1Runner(const SecondaryStructure& s1, const SecondaryStructure& s2,
               const McosOptions& options, McosStats& stats, Workspace& workspace)
-      : s1_(s1),
-        s2_(s2),
-        options_(options),
+      : options_(options),
         stats_(stats),
         workspace_(workspace),
-        memo_(workspace.memo(s1.length(), s2.length(), MemoTable::kUnset)) {
-    if (options_.layout == SliceLayout::kCompressed) {
-      idx1_.emplace(s1);
-      idx2_.emplace(s2);
-    } else {
-      // One S2 column-event table per solve; every recursion level's dense
-      // fill sweeps against it.
-      col_events_ = &workspace.column_events().build(s2);
-    }
-  }
+        memo_(workspace.memo(s1.length(), s2.length(), MemoTable::kUnset)),
+        slices_(s1, s2, workspace.column_events().build(s2), options.layout) {}
 
-  Score run() {
-    if (options_.layout == SliceLayout::kDense)
-      return solve_dense(SliceBounds{0, s1_.length() - 1, 0, s2_.length() - 1}, 0);
-    return solve_compressed(idx1_->all(), idx2_->all(), 0);
-  }
+  Score run();
 
  private:
   // d2 for either layout: memoize-on-miss spawn of the child slice under the
@@ -79,14 +63,24 @@ class Srna1Runner {
     return spawn(k1, x, k2, y, depth + 1);
   }
 
-  Score spawn(Pos k1, Pos x, Pos k2, Pos y, std::uint64_t depth) {
-    if (options_.layout == SliceLayout::kDense)
-      return solve_dense(SliceBounds::under(k1, x, k2, y), depth);
-    const std::size_t a1 = idx1_->index_of_right(x);
-    const std::size_t a2 = idx2_->index_of_right(y);
-    SRNA_CHECK(a1 != ArcIndex::kNoArc && a2 != ArcIndex::kNoArc,
+  // The d2 oracle of a slice at recursion depth `depth`.
+  [[nodiscard]] auto d2_fn(std::uint64_t depth) {
+    return [this, depth](Pos k1, Pos x, Pos k2, Pos y) {
+      return child_value(k1, x, k2, y, depth);
+    };
+  }
+
+  // Algorithm 1 allocates and deallocates each slice; the workspace keys
+  // slice scratch by recursion depth instead, so the parent's live slice
+  // survives a child spawn and the allocations are reused across slices and
+  // solves.
+  Score spawn(Pos /*k1*/, Pos x, Pos /*k2*/, Pos y, std::uint64_t depth) {
+    const std::size_t a = slices_.arcs1().index_of_right(x);
+    const std::size_t b = slices_.arcs2().index_of_right(y);
+    SRNA_CHECK(a != ArcIndex::kNoArc && b != ArcIndex::kNoArc,
                "dynamic case fired without matching arcs");
-    return solve_compressed(idx1_->interior(a1), idx2_->interior(a2), depth);
+    note_spawn(depth);
+    return slices_.child(a, b, workspace_.slice_scratch(depth), d2_fn(depth), &stats_);
   }
 
   void note_spawn(std::uint64_t depth) {
@@ -101,39 +95,19 @@ class Srna1Runner {
                                " slices); expected with memoize=false on dense inputs");
   }
 
-  Score solve_dense(SliceBounds b, std::uint64_t depth) {
-    note_spawn(depth);
-    // Algorithm 1 allocates and deallocates each slice; the workspace keys
-    // grids by recursion depth instead, so the parent's live grid survives a
-    // child spawn and the allocations are reused across slices and solves.
-    return tabulate_slice_dense(
-        s1_, s2_, *col_events_, b, workspace_.dense_grid(depth),
-        workspace_.slice_kernel(depth),
-        [&](Pos k1, Pos x, Pos k2, Pos y) { return child_value(k1, x, k2, y, depth); },
-        &stats_);
-  }
-
-  Score solve_compressed(std::span<const Arc> rows, std::span<const Arc> cols,
-                         std::uint64_t depth) {
-    note_spawn(depth);
-    return tabulate_slice_compressed(
-        rows, cols, workspace_.events(depth),
-        [&](Pos k1, Pos x, Pos k2, Pos y) { return child_value(k1, x, k2, y, depth); },
-        &stats_);
-  }
-
-  const SecondaryStructure& s1_;
-  const SecondaryStructure& s2_;
   const McosOptions& options_;
   McosStats& stats_;
   Workspace& workspace_;
   MemoTable& memo_;
+  const SliceTabulator slices_;
   std::unordered_map<std::uint64_t, Score> hash_memo_;
-  std::optional<ArcIndex> idx1_;
-  std::optional<ArcIndex> idx2_;
-  const ColumnEvents* col_events_ = nullptr;  // dense layout only
   std::uint64_t spawned_ = 0;
 };
+
+Score Srna1Runner::run() {
+  note_spawn(0);
+  return slices_.parent(workspace_.slice_scratch(0), d2_fn(0), &stats_);
+}
 
 }  // namespace
 

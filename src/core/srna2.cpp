@@ -12,10 +12,9 @@
 // The S2 (inner) loop order is immaterial for correctness — the fact PRNA
 // exploits to tabulate the inner loop's slices in parallel.
 
-#include "core/arc_index.hpp"
 #include "core/detail.hpp"
 #include "core/mcos.hpp"
-#include "core/tabulate_slice.hpp"
+#include "core/slice_tabulator.hpp"
 #include "core/workspace.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -33,7 +32,6 @@ Score run_srna2(const SecondaryStructure& s1, const SecondaryStructure& s2,
   SRNA_REQUIRE(memo.rows() == s1.length() && memo.cols() == s2.length(),
                "memo table must be n x m");
 
-  const bool dense = options.layout == SliceLayout::kDense;
   const bool validate = options.validate_memo;
 
   // Preprocessing: determine the arc endpoints / traversal order (ArcIndex)
@@ -41,11 +39,11 @@ Score run_srna2(const SecondaryStructure& s1, const SecondaryStructure& s2,
   WallTimer phase;
   obs::TraceScope preprocess_span("srna2", "preprocess");
   memo.fill(validate ? MemoTable::kUnset : Score{0});
-  const ArcIndex idx1(s1);
-  const ArcIndex idx2(s2);
-  // The dense kernel's per-solve S2 column-event table, shared by every
-  // stage-one slice and stage two (O(m) to build; reuses capacity).
-  const ColumnEvents& col_events = scratch.column_events().build(s2);
+  // The per-solve slice entry point over the S2 column-event table, shared
+  // by every stage-one slice and stage two (O(n + m) to build).
+  const SliceTabulator slices(s1, s2, scratch.column_events().build(s2), options.layout);
+  const ArcIndex& idx1 = slices.arcs1();
+  const ArcIndex& idx2 = slices.arcs2();
   preprocess_span.close();
   stats.preprocess_seconds = phase.seconds();
 
@@ -60,9 +58,7 @@ Score run_srna2(const SecondaryStructure& s1, const SecondaryStructure& s2,
   // Stage one: tabulate all child slices.
   phase.reset();
   obs::TraceScope stage1_span("srna2", "stage1");
-  Matrix<Score>& dense_scratch = scratch.dense_grid(0);
-  EventScratch& compressed_scratch = scratch.events(0);
-  const SliceKernel kernel = scratch.slice_kernel(0);
+  SliceScratch& slice_scratch = scratch.slice_scratch(0);
   std::uint64_t slices_started = 0;
   for (std::size_t a = 0; a < idx1.size(); ++a) {
     const Arc arc1 = idx1.arc(a);
@@ -74,18 +70,8 @@ Score run_srna2(const SecondaryStructure& s1, const SecondaryStructure& s2,
       if (options.cancelled()) throw SolveCancelled();
       if (options.slice_hook) options.slice_hook(slices_started);
       ++slices_started;
-      const Arc arc2 = idx2.arc(b);
-      Score value;
-      if (dense) {
-        value = tabulate_slice_dense(
-            s1, s2, col_events,
-            SliceBounds::under(arc1.left, arc1.right, arc2.left, arc2.right),
-            dense_scratch, kernel, d2_lookup, &stats);
-      } else {
-        value = tabulate_slice_compressed(idx1.interior(a), idx2.interior(b),
-                                          compressed_scratch, d2_lookup, &stats);
-      }
-      memo.set(arc1.left + 1, arc2.left + 1, value);
+      memo.set(arc1.left + 1, idx2.arc(b).left + 1,
+               slices.child(a, b, slice_scratch, d2_lookup, &stats));
     }
   }
   stage1_span.close();
@@ -96,15 +82,7 @@ Score run_srna2(const SecondaryStructure& s1, const SecondaryStructure& s2,
   if (options.slice_hook) options.slice_hook(slices_started);
   phase.reset();
   obs::TraceScope stage2_span("srna2", "stage2");
-  Score answer;
-  if (dense) {
-    answer = tabulate_slice_dense(s1, s2, col_events,
-                                  SliceBounds{0, s1.length() - 1, 0, s2.length() - 1},
-                                  dense_scratch, kernel, d2_lookup, &stats);
-  } else {
-    answer = tabulate_slice_compressed(idx1.all(), idx2.all(), compressed_scratch,
-                                       d2_lookup, &stats);
-  }
+  const Score answer = slices.parent(slice_scratch, d2_lookup, &stats);
   stage2_span.close();
   stats.stage2_seconds = phase.seconds();
   return answer;

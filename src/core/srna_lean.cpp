@@ -28,7 +28,7 @@ std::size_t lean_scratch_floor_bytes(const SecondaryStructure& s1,
   const std::size_t kernel =
       arcs2 * (sizeof(std::uint32_t) + sizeof(std::int32_t) + sizeof(Score));
   const std::size_t events =
-      arcs2 * sizeof(ColumnEvents::Event) + (m + 1) * sizeof(std::uint32_t);
+      arcs2 * sizeof(Arc) + (m + 1) * sizeof(std::uint32_t);
   return stream_rows + kernel + events;
 }
 
@@ -139,13 +139,15 @@ class LeanRunner {
 
   // One slice at recursion level `level`. Recompute-on-miss evaluates a
   // child slice inside d2_of, as SRNA1 spawns one, so each level has its own
-  // rows and kernel scratch.
+  // slice scratch.
   Score eval(SliceBounds b, std::span<const Arc> rows, std::span<const Arc> cols,
              std::size_t level) {
+    SliceScratch& scratch = ws_.slice_scratch(level);
+    const SliceKernel kernel{&scratch.kernel};
     if (dense_)
-      return stream_slice_dense(s1_, col_events_, b, ws_.lean_scratch(level),
-                                ws_.slice_kernel(level), d2_fn(level), &stats_);
-    return tabulate_slice_compressed(rows, cols, ws_.events(level), d2_fn(level), &stats_);
+      return stream_slice_dense(s1_, col_events_, b, scratch.lean, kernel, d2_fn(level),
+                                &stats_);
+    return tabulate_slice_compressed(rows, cols, scratch.events, kernel, d2_fn(level), &stats_);
   }
 
   const SecondaryStructure& s1_;

@@ -18,15 +18,16 @@
 //   * compressed — one cell per (arc-right-endpoint, arc-right-endpoint)
 //                  event pair, exploiting that F only changes at events.
 //
-// There is one dense fill (DESIGN.md §4.5). The column positions where the
+// There is one row routine (DESIGN.md §4.5). The column positions where the
 // dynamic case can fire (S2 arc right endpoints) are precomputed once per
-// solve into a ColumnEvents table; each row decomposes into arc-match cells
-// at the events plus constant fills between them — F is provably constant
-// between events, and a row where no S1 arc ends is a verbatim copy of the
-// row above — and the event cells of a row are evaluated in batched passes,
-// vectorized at compile time. Same cells, same stats, no per-cell partner
-// probe or load. One routine (detail::fill_arc_row) computes an arc row; it
-// serves this grid fill and the lean solver's row stream
+// solve into a ColumnEvents table; each dense row decomposes into arc-match
+// cells at the events plus constant fills between them — F is provably
+// constant between events, and a row where no S1 arc ends is a verbatim
+// copy of the row above — and the event cells of a row are evaluated in
+// batched passes, vectorized at compile time. Same cells, same stats, no
+// per-cell partner probe or load. detail::fill_arc_row computes one arc row;
+// it serves the dense grid fill, the compressed event grid (a row in which
+// every column is an event) and the lean solver's row stream
 // (core/lean_slice.hpp) alike. The per-cell loop is retained as
 // fill_slice_dense_reference, the oracle of the equivalence tests and of
 // the perf gate (bench/micro_kernels --smoke).
@@ -49,11 +50,12 @@
 #include "rna/secondary_structure.hpp"
 #include "util/matrix.hpp"
 
-// Compile-time SIMD dispatch for the dense kernel (DESIGN.md §4.5).
+// Compile-time SIMD dispatch for the row routine (DESIGN.md §4.5).
 // -DSRNA_DISABLE_SIMD forces the scalar instantiation of the same blocked
 // code path — the only instantiation sanitizer builds compile
 // (scripts/check_asan.sh / check_ubsan.sh / check_tsan.sh configure with it),
-// so a sanitizer-clean run certifies exactly the kernel it ran.
+// so a sanitizer-clean run certifies exactly the kernel it ran, under both
+// layouts.
 #if !defined(SRNA_DISABLE_SIMD) && defined(__AVX2__)
 #include <immintrin.h>
 #define SRNA_KERNEL_AVX2 1
@@ -105,21 +107,17 @@ struct SliceBounds {
   }
 };
 
-// The column-event table of S2: every position y that is an arc right
-// endpoint, paired with its left endpoint k, sorted by y, plus an O(1)
-// position → first-event index so a slice restriction is two array reads.
-// F is constant between these events (DESIGN.md §1), so inside a slice row
-// the dynamic case can only fire at them — the fact the dense kernel below
-// exploits. Built once per solve (pooled in Workspace; rebuilding reuses
-// capacity) and shared read-only by every slice of that solve, including
-// PRNA's stage-one workers.
+// The column-event table of S2: every arc of S2, sorted by its right
+// endpoint y (the event column), plus an O(1) position → first-event index
+// so a slice restriction is two array reads. F is constant between these
+// events (DESIGN.md §1), so inside a slice row the dynamic case can only
+// fire at them — the fact the dense kernel below exploits. Built once per
+// solve (pooled in Workspace; rebuilding reuses capacity) and shared
+// read-only by every slice of that solve, including PRNA's stage-one
+// workers.
 struct ColumnEvents {
-  struct Event {
-    Pos y;  // arc right endpoint (the event column)
-    Pos k;  // matching left endpoint: (k, y) is an arc of S2
-  };
-  std::vector<Event> events;            // sorted by y
-  std::vector<std::uint32_t> first_at;  // size m+1: index of first event with y >= pos
+  std::vector<Arc> events;              // sorted by right endpoint
+  std::vector<std::uint32_t> first_at;  // size m+1: index of first event with right >= pos
 
   ColumnEvents& build(const SecondaryStructure& s2) {
     const auto m = static_cast<std::size_t>(s2.length());
@@ -128,22 +126,22 @@ struct ColumnEvents {
     for (std::size_t y = 0; y < m; ++y) {
       first_at[y] = static_cast<std::uint32_t>(events.size());
       const Pos k = s2.arc_left_of(static_cast<Pos>(y));
-      if (k >= 0) events.push_back(Event{static_cast<Pos>(y), k});
+      if (k >= 0) events.push_back(Arc{k, static_cast<Pos>(y)});
     }
     first_at[m] = static_cast<std::uint32_t>(events.size());
     return *this;
   }
 
-  // Events with y in [lo, hi] — the columns of a slice restricted to
-  // [lo, hi]. Requires 0 <= lo <= hi < m.
-  [[nodiscard]] std::span<const Event> in_range(Pos lo, Pos hi) const noexcept {
+  // Events with right endpoint in [lo, hi] — the columns of a slice
+  // restricted to [lo, hi]. Requires 0 <= lo <= hi < m.
+  [[nodiscard]] std::span<const Arc> in_range(Pos lo, Pos hi) const noexcept {
     const auto begin = first_at[static_cast<std::size_t>(lo)];
     const auto end = first_at[static_cast<std::size_t>(hi) + 1];
-    return std::span<const Event>(events).subspan(begin, end - begin);
+    return std::span<const Arc>(events).subspan(begin, end - begin);
   }
 
   [[nodiscard]] std::size_t capacity_bytes() const noexcept {
-    return events.capacity() * sizeof(Event) + first_at.capacity() * sizeof(std::uint32_t);
+    return events.capacity() * sizeof(Arc) + first_at.capacity() * sizeof(std::uint32_t);
   }
 };
 
@@ -203,7 +201,7 @@ void fill_slice_dense_reference(const SecondaryStructure& s1, const SecondaryStr
 }
 
 // ---------------------------------------------------------------------------
-// The dense kernel's row evaluation (DESIGN.md §4.5).
+// The row routine (DESIGN.md §4.5), shared by both layouts.
 //
 // Evaluated cell by cell, an arc row's events form a serial max chain:
 // `v = max(up[ce], left); v = max(v, 1 + d1 + d2); left = v` is a
@@ -225,8 +223,8 @@ void fill_slice_dense_reference(const SecondaryStructure& s1, const SecondaryStr
 // precomputed once per slice into a KernelScratch (pooled per recursion
 // level in Workspace).
 
-// Reusable per-slice buffers of the dense kernel. Pooled in Workspace
-// (slice_kernel(level)); a steady-state solve allocates nothing.
+// Reusable per-slice buffers of the row routine. Pooled in Workspace
+// (slice_scratch(level).kernel); a steady-state solve allocates nothing.
 struct KernelScratch {
   // d1_idx sentinels: the event qualifies with d1 = 0 (its partner arc
   // starts exactly at the slice edge), or does not qualify at all.
@@ -243,8 +241,8 @@ struct KernelScratch {
   }
 };
 
-// A handle to the KernelScratch one dense fill works in: what
-// Workspace::slice_kernel(level) hands the solvers. Few-slice callers
+// A handle to the KernelScratch one slice fill works in. The solvers wrap
+// their level's pooled scratch (Workspace::slice_scratch); few-slice callers
 // (traceback, enumeration, tests) wrap a scratch of their own.
 struct SliceKernel {
   KernelScratch* scratch = nullptr;
@@ -260,8 +258,20 @@ struct PreparedEvents {
   bool contiguous = false;     // event columns are consecutive offsets
 };
 
-inline PreparedEvents prepare_kernel_events(std::span<const ColumnEvents::Event> events,
-                                            Pos lo2, KernelScratch& ks) {
+// Nested-arc runs (the Table I worst case is one) produce d1 columns that
+// descend by exactly one: d1_idx[j] = d1_idx[0] - j while nonnegative. Over
+// that prefix the d1 reads of a row are one reversed contiguous block — a
+// plain load instead of a gather. Returns the prefix length.
+inline std::size_t descending_prefix(const std::int32_t* d1_idx, std::size_t count) noexcept {
+  if (count == 0 || d1_idx[0] < 0) return 0;
+  std::size_t p = 1;
+  while (p < count && d1_idx[p] == d1_idx[0] - static_cast<std::int32_t>(p) && d1_idx[p] >= 0)
+    ++p;
+  return p;
+}
+
+inline PreparedEvents prepare_kernel_events(std::span<const Arc> events, Pos lo2,
+                                            KernelScratch& ks) {
   PreparedEvents prep;
   prep.count = events.size();
   ks.cols.resize(prep.count);
@@ -269,29 +279,19 @@ inline PreparedEvents prepare_kernel_events(std::span<const ColumnEvents::Event>
   ks.vals.resize(prep.count);
   prep.contiguous = true;
   for (std::size_t j = 0; j < prep.count; ++j) {
-    const ColumnEvents::Event& e = events[j];
-    const auto ce = static_cast<std::uint32_t>(e.y - lo2);
+    const Arc& e = events[j];
+    const auto ce = static_cast<std::uint32_t>(e.right - lo2);
     ks.cols[j] = ce;
     if (j > 0 && ce != ks.cols[j - 1] + 1) prep.contiguous = false;
-    if (e.k >= lo2) {
+    if (e.left >= lo2) {
       ++prep.qualifying;
-      ks.d1_idx[j] = e.k - 1 >= lo2 ? static_cast<std::int32_t>(e.k - 1 - lo2)
-                                    : KernelScratch::kZeroD1;
+      ks.d1_idx[j] = e.left - 1 >= lo2 ? static_cast<std::int32_t>(e.left - 1 - lo2)
+                                       : KernelScratch::kZeroD1;
     } else {
       ks.d1_idx[j] = KernelScratch::kSkip;
     }
   }
-  // Nested-arc runs (the Table I worst case is one) produce d1 columns that
-  // descend by exactly one: d1_idx[j] = d1_idx[0] - j while nonnegative.
-  // Over that prefix the d1 reads of a row are one reversed contiguous
-  // block — a plain load instead of a gather.
-  if (prep.count > 0 && ks.d1_idx[0] >= 0) {
-    std::size_t p = 1;
-    while (p < prep.count && ks.d1_idx[p] == ks.d1_idx[0] - static_cast<std::int32_t>(p) &&
-           ks.d1_idx[p] >= 0)
-      ++p;
-    prep.desc_prefix = p;
-  }
+  prep.desc_prefix = descending_prefix(ks.d1_idx.data(), prep.count);
   return prep;
 }
 
@@ -416,17 +416,17 @@ inline void apply_d1_up_contiguous(const std::int32_t* d1_idx, std::size_t ne,
 // auto-vectorizes for trivial oracles).
 template <typename D2>
 inline void compute_event_d2(const KernelScratch& ks, const PreparedEvents& prep, Pos k1,
-                             Pos x, std::span<const ColumnEvents::Event> events,
+                             Pos x, std::span<const Arc> events,
                              Score* vals, D2&& d2_of) {
   const std::size_t ne = prep.count;
   if (prep.qualifying == ne) {
     for (std::size_t j = 0; j < ne; ++j)
-      vals[j] = static_cast<Score>(d2_of(k1, x, events[j].k, events[j].y));
+      vals[j] = static_cast<Score>(d2_of(k1, x, events[j].left, events[j].right));
   } else {
     for (std::size_t j = 0; j < ne; ++j)
       vals[j] = ks.d1_idx[j] == KernelScratch::kSkip
                     ? Score{0}
-                    : static_cast<Score>(d2_of(k1, x, events[j].k, events[j].y));
+                    : static_cast<Score>(d2_of(k1, x, events[j].left, events[j].right));
   }
 }
 
@@ -630,18 +630,19 @@ inline void scatter_event_row(Score* row, std::size_t cols, Score head,
   if (last + 1 < cols) std::fill(row + last + 1, row + cols, vals[ne - 1]);
 }
 
-// One arc row of the dense kernel — row x, whose S1 arc (k1, x) starts in
-// the slice — written into `row` from the row above (`up`) and the row above
-// k1 (`d1_row`, null when k1 is the first row), over the slice's prepared
-// events, of which there is at least one (without events the row is one
-// constant run, up[0]; the callers fill it). fill_slice_dense runs it on
-// grid rows and the lean stream (core/lean_slice.hpp) on its cur / prev /
-// stack rows. Forced inline, with the event-free test left to the callers:
+// One arc row — row x, whose S1 arc (k1, x) starts in the slice — written
+// into `row` from the row above (`up`) and the row above k1 (`d1_row`, null
+// when k1 is the first row), over the slice's prepared events, of which
+// there is at least one (without events the row is one constant run, up[0];
+// the callers fill it). fill_slice_dense runs it on grid rows,
+// tabulate_slice_compressed on event-grid rows and the lean stream
+// (core/lean_slice.hpp) on its cur / prev / stack rows. Forced inline, with
+// the event-free test left to the callers:
 // the grid fill's row loop is the solvers' hot path, and an early return in
 // here costs that loop registers (3–5% of the Table I n=400 solve).
 template <typename D2>
 [[gnu::always_inline]] inline void fill_arc_row(KernelScratch& ks, const PreparedEvents& prep,
-                                                std::span<const ColumnEvents::Event> events,
+                                                std::span<const Arc> events,
                                                 std::size_t cols, Pos k1, Pos x,
                                                 const Score* up, const Score* d1_row,
                                                 Score* row, D2&& d2_of, McosStats* stats) {
@@ -710,7 +711,7 @@ void fill_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& /*
     stats->cells_tabulated += static_cast<std::uint64_t>(rows) * cols;
   }
   KernelScratch& ks = *kernel.scratch;
-  const std::span<const ColumnEvents::Event> events = col_events.in_range(b.lo2, b.hi2);
+  const std::span<const Arc> events = col_events.in_range(b.lo2, b.hi2);
   const detail::PreparedEvents prep = detail::prepare_kernel_events(events, b.lo2, ks);
 
   for (Pos x = b.lo1; x <= b.hi1; ++x) {
@@ -756,7 +757,7 @@ void fill_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& s2
 // Dense TabulateSlice: fills into `scratch` (reused across calls — the
 // paper's per-call allocate/deallocate without the allocator churn) and
 // returns the final value. `col_events` is the per-solve ColumnEvents table,
-// `kernel` the caller's pooled kernel scratch (Workspace::slice_kernel).
+// `kernel` the caller's pooled kernel scratch (Workspace::slice_scratch).
 template <typename D2>
 Score tabulate_slice_dense(const SecondaryStructure& s1, const SecondaryStructure& s2,
                            const ColumnEvents& col_events, SliceBounds b,
@@ -796,20 +797,23 @@ Score tabulate_slice_dense(const SecondaryStructure& s1, const SecondaryStructur
 
 // Reusable buffers for the compressed (event-grid) layout: one value cell
 // per (arc-right-endpoint, arc-right-endpoint) event pair plus the resolved
-// d1 predecessor indices. Pooled inside Workspace so repeated solves reuse
-// the allocations.
+// d1 row of each event-grid row. The row routine's per-slice metadata lives
+// in the KernelScratch passed alongside. Pooled in Workspace
+// (slice_scratch(level)) so repeated solves reuse the allocations.
 struct EventScratch {
-  Matrix<Score> val;                    // one cell per (row arc, col arc)
-  std::vector<std::size_t> prev_row;    // per row arc: last row with right < left(arc)
-  std::vector<std::size_t> prev_col;    // per col arc: last col with right < left(arc)
-  std::vector<std::size_t> stack;       // nesting stack for the prev_* scans
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  // "No predecessor arc": the d1 term is 0, which for a column is exactly
+  // the kernel's kZeroD1 sentinel.
+  static constexpr std::int32_t kNone = KernelScratch::kZeroD1;
+
+  Matrix<Score> val;                  // one cell per (row arc, col arc)
+  std::vector<Score> zero_row;        // the `up` row of event-grid row 0
+  std::vector<std::int32_t> prev_row; // per row arc: last row with right < left(arc)
+  std::vector<std::int32_t> stack;    // nesting stack for the predecessor scans
 
   // Reserved backing bytes — feeds the engine.workspace_alloc_bytes accounting.
   [[nodiscard]] std::size_t capacity_bytes() const noexcept {
-    return val.flat().capacity() * sizeof(Score) +
-           (prev_row.capacity() + prev_col.capacity() + stack.capacity()) *
-               sizeof(std::size_t);
+    return (val.flat().capacity() + zero_row.capacity()) * sizeof(Score) +
+           (prev_row.capacity() + stack.capacity()) * sizeof(std::int32_t);
   }
 };
 
@@ -823,19 +827,36 @@ namespace detail {
 // arcs not nested inside any later-seen arc; popping the arcs nested inside
 // arcs[i] (left endpoint greater than ours — non-crossing makes that the
 // containment test) leaves exactly the latest arc entirely left of arcs[i]
-// on top. Every arc is pushed and popped once: O(n) total, replacing the
-// per-arc binary search this used to do.
-inline void fill_prev_indices(std::span<const Arc> arcs, std::vector<std::size_t>& prev,
-                              std::vector<std::size_t>& stack) {
+// on top. Every arc is pushed and popped once: O(n) total.
+inline void fill_prev_indices(std::span<const Arc> arcs, std::vector<std::int32_t>& prev,
+                              std::vector<std::int32_t>& stack) {
   const std::size_t n = arcs.size();
   prev.resize(n);
   stack.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const Pos left = arcs[i].left;
-    while (!stack.empty() && arcs[stack.back()].left > left) stack.pop_back();
+    while (!stack.empty() && arcs[static_cast<std::size_t>(stack.back())].left > left)
+      stack.pop_back();
     prev[i] = stack.empty() ? EventScratch::kNone : stack.back();
-    stack.push_back(i);
+    stack.push_back(static_cast<std::int32_t>(i));
   }
+}
+
+// The event grid's row-invariant metadata, in the row routine's terms:
+// every column is an event (offsets 0..nc-1, contiguous), every event
+// qualifies, and an event's d1 column is its predecessor column arc —
+// kZeroD1 when there is none.
+inline PreparedEvents prepare_event_grid(std::span<const Arc> cols, KernelScratch& ks,
+                                         std::vector<std::int32_t>& stack) {
+  PreparedEvents prep;
+  prep.count = prep.qualifying = cols.size();
+  prep.contiguous = true;
+  ks.cols.resize(prep.count);
+  for (std::size_t j = 0; j < prep.count; ++j) ks.cols[j] = static_cast<std::uint32_t>(j);
+  fill_prev_indices(cols, ks.d1_idx, stack);
+  ks.vals.resize(prep.count);
+  prep.desc_prefix = descending_prefix(ks.d1_idx.data(), prep.count);
+  return prep;
 }
 
 }  // namespace detail
@@ -843,16 +864,22 @@ inline void fill_prev_indices(std::span<const Arc> arcs, std::vector<std::size_t
 // Compressed TabulateSlice over the event grid. `rows` / `cols` are the arcs
 // fully inside the slice's two intervals, sorted by right endpoint (use
 // ArcIndex::interior / ArcIndex::all). Returns F(lo1, hi1, lo2, hi2).
+//
+// Event-grid row r is an arc row in which every column is an event:
+// detail::fill_arc_row computes it from the previous event-grid
+// row (a zero row for r = 0) and the row of its predecessor arc (null when
+// there is none). Event-grid cell (r, c) equals the dense grid's cell
+// (rows[r].right, cols[c].right); d2_of is called row-major over the arc
+// pairs, the per-cell reference's order.
 template <typename D2>
 Score tabulate_slice_compressed(std::span<const Arc> rows, std::span<const Arc> cols,
-                                EventScratch& scratch, D2&& d2_of,
+                                EventScratch& scratch, SliceKernel kernel, D2&& d2_of,
                                 McosStats* stats = nullptr) {
   const std::size_t nr = rows.size();
   const std::size_t nc = cols.size();
   if (stats != nullptr) {
     ++stats->slices_tabulated;
     stats->cells_tabulated += static_cast<std::uint64_t>(nr) * nc;
-    stats->arc_match_events += static_cast<std::uint64_t>(nr) * nc;
   }
   if (nr == 0 || nc == 0) return 0;
 
@@ -861,30 +888,19 @@ Score tabulate_slice_compressed(std::span<const Arc> rows, std::span<const Arc> 
     span.set_args(obs::trace_args({{"rows", static_cast<std::int64_t>(nr)},
                                    {"cols", static_cast<std::int64_t>(nc)}}));
 
-  // prev_row[r]: the last row index r' with rows[r'].right < rows[r].left —
-  // the row d1 resolves to. Resolved for all rows in one amortized O(nr)
-  // nesting-stack pass (see fill_prev_indices), not a per-row binary search.
+  KernelScratch& ks = *kernel.scratch;
   detail::fill_prev_indices(rows, scratch.prev_row, scratch.stack);
-  detail::fill_prev_indices(cols, scratch.prev_col, scratch.stack);
-
+  const detail::PreparedEvents prep = detail::prepare_event_grid(cols, ks, scratch.stack);
+  scratch.zero_row.assign(nc, 0);
   Matrix<Score>& val = scratch.val;
-  val.resize(nr, nc, 0);
+  val.reshape(nr, nc);  // every cell is written below
   for (std::size_t r = 0; r < nr; ++r) {
-    Score* row = val.row_data(r);
-    const Score* up = r > 0 ? val.row_data(r - 1) : nullptr;
-    const std::size_t d1r = scratch.prev_row[r];
-    const Score* d1_row = d1r != EventScratch::kNone ? val.row_data(d1r) : nullptr;
-    Score left = 0;
-    for (std::size_t c = 0; c < nc; ++c) {
-      Score v = up != nullptr ? std::max(up[c], left) : left;
-      const std::size_t d1c = scratch.prev_col[c];
-      const Score d1 =
-          (d1_row != nullptr && d1c != EventScratch::kNone) ? d1_row[d1c] : 0;
-      const Score d2 = d2_of(rows[r].left, rows[r].right, cols[c].left, cols[c].right);
-      v = std::max(v, static_cast<Score>(1 + d1 + d2));
-      row[c] = v;
-      left = v;
-    }
+    const Score* up = r > 0 ? val.row_data(r - 1) : scratch.zero_row.data();
+    const std::int32_t d1r = scratch.prev_row[r];
+    const Score* d1_row =
+        d1r != EventScratch::kNone ? val.row_data(static_cast<std::size_t>(d1r)) : nullptr;
+    detail::fill_arc_row(ks, prep, cols, nc, rows[r].left, rows[r].right, up, d1_row,
+                         val.row_data(r), d2_of, stats);
   }
   if (span.active()) {
     const std::uint64_t elapsed = obs::Tracer::instance().now_us() - span.start_us();

@@ -10,16 +10,15 @@
 //
 // Buffers:
 //   * memo(n, m, initial)  — the memo table M, re-shaped per solve
-//   * dense_grid(level)    — dense slice grids; `level` keys SRNA1's live
-//                            recursion levels (0 for the non-recursive
-//                            solvers), each level a stable, reusable Matrix
-//   * events(level)        — EventScratch for the compressed layout, same
-//                            level discipline
-//   * column_events()      — the per-solve S2 column-event table the dense
-//                            kernel sweeps between (rebuild per solve;
+//   * slice_scratch(level) — everything one live slice works in (SliceScratch:
+//                            dense grid, row-routine scratch, compressed event
+//                            grid, srna-lean's streamed rows); `level` keys
+//                            SRNA1's and srna-lean's live recursion levels (0
+//                            for the non-recursive solvers), each level a
+//                            stable, reusable bundle
+//   * column_events()      — the per-solve S2 column-event table the row
+//                            routine sweeps between (rebuild per solve;
 //                            capacity survives)
-//   * slice_kernel(level)  — the dense kernel's per-slice scratch, same
-//                            level discipline as dense_grid()
 //
 // Thread pooling: local() hands out one Workspace per thread (thread_local),
 // which is what the OpenMP pair loops in the structure DB and PRNA's
@@ -36,17 +35,16 @@
 #include <memory>
 #include <vector>
 
-#include "core/lean_slice.hpp"
 #include "core/memo_store.hpp"
 #include "core/memo_table.hpp"
-#include "core/tabulate_slice.hpp"
+#include "core/slice_tabulator.hpp"
 
 namespace srna {
 
 // Compatibility shim for callers written against the retired dense-kernel
 // selector (the perfbench harness calls slice_kernel(KernelVariant::kAuto)).
-// There is one dense kernel, so the only value forwards to slice_kernel(0).
-// Drop this and the overload below with the next benchmark change.
+// There is one kernel, so the only value hands out level 0's kernel scratch.
+// Drop this and slice_kernel() below with the next benchmark change.
 enum class KernelVariant : std::uint8_t { kAuto };
 
 class Workspace {
@@ -70,52 +68,29 @@ class Workspace {
   // (traceback, enumeration).
   [[nodiscard]] MemoTable& memo() noexcept { return memo_; }
 
-  // Dense slice grid for recursion level `level` (0 for non-recursive use).
-  // Level-indexed because SRNA1 spawns child slices while the parent grid is
-  // live; each live level needs its own grid. Grids are heap-anchored, so
-  // references survive the vector growing for deeper levels.
-  Matrix<Score>& dense_grid(std::size_t level = 0) {
-    while (dense_grids_.size() <= level)
-      dense_grids_.push_back(std::make_unique<Matrix<Score>>());
-    return *dense_grids_[level];
+  // The slice scratch of recursion level `level` (0 for non-recursive use).
+  // Level-indexed because SRNA1 and srna-lean tabulate child slices while the
+  // parent slice is live; each live level needs its own bundle. Bundles are
+  // heap-anchored, so references survive the pool growing for deeper levels.
+  SliceScratch& slice_scratch(std::size_t level = 0) {
+    while (slice_scratch_.size() <= level)
+      slice_scratch_.push_back(std::make_unique<SliceScratch>());
+    return *slice_scratch_[level];
   }
 
-  // Compressed-layout event scratch, same level discipline as dense_grid().
-  EventScratch& events(std::size_t level = 0) {
-    while (events_.size() <= level) events_.push_back(std::make_unique<EventScratch>());
-    return *events_[level];
-  }
-
-  // The S2 column-event table for the dense kernel. One per workspace
-  // (every recursion level of a solve reads the same S2): callers
-  // `.build(s2)` it once at solve start and pass it to the slice kernels.
+  // The S2 column-event table for the row routine. One per workspace (every
+  // recursion level of a solve reads the same S2): callers `.build(s2)` it
+  // once at solve start and pass it to the slice kernels.
   ColumnEvents& column_events() noexcept { return column_events_; }
 
-  // The dense kernel's per-slice scratch for recursion level `level`, same
-  // level discipline as dense_grid() (SRNA1 fills child slices while the
-  // parent's prepared events are live) — what the solvers pass to
-  // tabulate_slice_dense per slice.
-  [[nodiscard]] SliceKernel slice_kernel(std::size_t level = 0) {
-    while (kernel_scratch_.size() <= level)
-      kernel_scratch_.push_back(std::make_unique<KernelScratch>());
-    return SliceKernel{kernel_scratch_[level].get()};
+  // Compatibility shim (see KernelVariant above): level 0's kernel scratch.
+  [[nodiscard]] SliceKernel slice_kernel(KernelVariant /*variant*/) {
+    return SliceKernel{&slice_scratch(0).kernel};
   }
-
-  // Compatibility shim (see KernelVariant above): slice_kernel(0).
-  [[nodiscard]] SliceKernel slice_kernel(KernelVariant /*variant*/) { return slice_kernel(0); }
 
   // The windowed (space-lean) memo store for the srna-lean path. The solver
   // configure()s it per solve; resident rows survive for the traceback.
   WindowedMemoStore& lean_store() noexcept { return lean_store_; }
-
-  // Streaming-slice scratch, same level discipline as dense_grid(): the lean
-  // recompute-on-miss path streams a child slice while the parent sweep is
-  // live, so each live recursion level needs its own rows.
-  LeanSliceScratch& lean_scratch(std::size_t level = 0) {
-    while (lean_scratch_.size() <= level)
-      lean_scratch_.push_back(std::make_unique<LeanSliceScratch>());
-    return *lean_scratch_[level];
-  }
 
   // Reserved bytes of the cross-slice memo state — the dense table M (the
   // paper's Θ(nm) bound) plus whatever the windowed store holds resident.
@@ -123,14 +98,10 @@ class Workspace {
     return memo_.capacity_bytes() + lean_store_.resident_bytes();
   }
 
-  // Reserved bytes of the per-slice scratch: dense grids, event scratch, and
-  // the streaming rows of the lean path.
+  // Reserved bytes of the per-slice scratch, every level's bundle.
   [[nodiscard]] std::size_t slice_scratch_bytes() const noexcept {
     std::size_t total = 0;
-    for (const auto& g : dense_grids_) total += g->flat().capacity() * sizeof(Score);
-    for (const auto& e : events_) total += e->capacity_bytes();
-    for (const auto& l : lean_scratch_) total += l->capacity_bytes();
-    for (const auto& k : kernel_scratch_) total += k->capacity_bytes();
+    for (const auto& level : slice_scratch_) total += level->capacity_bytes();
     return total;
   }
 
@@ -174,10 +145,7 @@ class Workspace {
   // Releases all buffers (memory pressure valve; the next solve re-allocates).
   void clear() {
     memo_ = MemoTable{};
-    dense_grids_.clear();
-    events_.clear();
-    lean_scratch_.clear();
-    kernel_scratch_.clear();
+    slice_scratch_.clear();
     lean_store_.release();
     column_events_ = ColumnEvents{};
   }
@@ -189,10 +157,7 @@ class Workspace {
 
  private:
   MemoTable memo_;
-  std::vector<std::unique_ptr<Matrix<Score>>> dense_grids_;
-  std::vector<std::unique_ptr<EventScratch>> events_;
-  std::vector<std::unique_ptr<LeanSliceScratch>> lean_scratch_;
-  std::vector<std::unique_ptr<KernelScratch>> kernel_scratch_;
+  std::vector<std::unique_ptr<SliceScratch>> slice_scratch_;
   WindowedMemoStore lean_store_;
   ColumnEvents column_events_;
   std::uint64_t solves_ = 0;

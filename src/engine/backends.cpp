@@ -110,18 +110,8 @@ class PrnaBackend final : public SolverBackend {
     BackendCaps c;
     c.threads = true;
     c.balance_control = true;
-    c.schedule_controls = true;
+    c.stage1_hook = true;
     return c;
-  }
-  void validate(const SolverConfig& config) const override {
-    SolverBackend::validate(config);
-    // The stealing schedule has no static column ownership, so a balance
-    // strategy would be silently ignored — reject instead.
-    const SolverConfig defaults;
-    if (config.schedule == PrnaSchedule::kStealing && config.balance != defaults.balance)
-      throw std::invalid_argument(
-          "backend 'prna': the kStealing schedule has no static ownership; "
-          "balance must be left at its default");
   }
   EngineResult solve(const SecondaryStructure& s1, const SecondaryStructure& s2,
                      const SolverConfig& config, Workspace& workspace) const override {
@@ -145,16 +135,10 @@ class PrnaStealBackend final : public SolverBackend {
   BackendCaps caps() const noexcept override {
     BackendCaps c;
     c.threads = true;
-    c.schedule_controls = true;  // stage1_hook passes through
+    // No balance_control: the stealing schedule has no static column
+    // ownership to balance.
+    c.stage1_hook = true;
     return c;
-  }
-  void validate(const SolverConfig& config) const override {
-    SolverBackend::validate(config);
-    const SolverConfig defaults;
-    if (config.schedule != defaults.schedule && config.schedule != PrnaSchedule::kStealing)
-      throw std::invalid_argument(
-          "backend 'prna-steal' always runs the kStealing schedule; pick "
-          "backend 'prna' for the barrier schedules");
   }
   EngineResult solve(const SecondaryStructure& s1, const SecondaryStructure& s2,
                      const SolverConfig& config, Workspace& workspace) const override {

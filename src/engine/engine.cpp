@@ -24,7 +24,6 @@ PrnaOptions SolverConfig::to_prna() const {
   options.num_threads = threads;
   options.balance = balance;
   options.layout = layout;
-  options.schedule = schedule;
   options.validate_memo = validate_memo;
   options.stage1_hook = stage1_hook;
   return options;
@@ -57,10 +56,7 @@ void SolverBackend::validate(const SolverConfig& config) const {
     if (config.spawn_limit != defaults.spawn_limit) reject("spawn_limit");
   }
   if (!c.balance_control && config.balance != defaults.balance) reject("balance");
-  if (!c.schedule_controls) {
-    if (config.schedule != defaults.schedule) reject("schedule");
-    if (config.stage1_hook != nullptr) reject("stage1_hook");
-  }
+  if (!c.stage1_hook && config.stage1_hook != nullptr) reject("stage1_hook");
   if (!c.cancel && config.cancel != nullptr) reject("cancel");
   if (!c.memory_budget && config.memory_budget_bytes != defaults.memory_budget_bytes)
     reject("memory_budget_bytes");

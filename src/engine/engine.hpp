@@ -72,7 +72,6 @@ struct SolverConfig {
   int threads = 0;
   int ranks = 2;
   BalanceStrategy balance = BalanceStrategy::kGreedyLpt;
-  PrnaSchedule schedule = PrnaSchedule::kStaticColumns;
   // Test-only fault injection (prna); see PrnaOptions::stage1_hook.
   std::function<void(std::size_t, std::size_t)> stage1_hook;
 
@@ -102,7 +101,7 @@ struct BackendCaps {
   bool ranks = false;            // honors SolverConfig::ranks
   bool lazy_controls = false;    // honors memo_kind / memoize / spawn_limit
   bool balance_control = false;  // honors balance
-  bool schedule_controls = false;  // honors schedule / stage1_hook
+  bool stage1_hook = false;      // honors stage1_hook
   bool cancel = false;           // honors SolverConfig::cancel (slice-boundary polls)
   bool memory_budget = false;    // honors SolverConfig::memory_budget_bytes
   bool honors_layout = true;     // informational: layout switches the kernel

@@ -8,9 +8,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/arc_index.hpp"
 #include "core/memo_table.hpp"
-#include "core/tabulate_slice.hpp"
+#include "core/slice_tabulator.hpp"
 #include "parallel/work_stealing.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -74,7 +73,6 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
                "MCOS model requires non-pseudoknot structures");
 
   PrnaResult result;
-  const bool dense = options.layout == SliceLayout::kDense;
   const bool validate = options.validate_memo;
   const bool stealing = options.schedule == PrnaSchedule::kStealing;
   SRNA_REQUIRE(!options.use_std_threads || stealing,
@@ -84,8 +82,11 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
   WallTimer phase;
   obs::TraceScope preprocess_span("prna", "preprocess");
   obs::CounterScope preprocess_counters("prna.preprocess");
-  const ArcIndex idx1(s1);
-  const ArcIndex idx2(s2);
+  // The per-solve slice entry point over the S2 column-event table, shared
+  // read-only by all stage-one workers and stage two.
+  const SliceTabulator slices(s1, s2, workspace.column_events().build(s2), options.layout);
+  const ArcIndex& idx1 = slices.arcs1();
+  const ArcIndex& idx2 = slices.arcs2();
   MemoTable& memo =
       workspace.memo(s1.length(), s2.length(), validate ? MemoTable::kUnset : Score{0});
 
@@ -103,9 +104,6 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
     for (std::size_t b = 0; b < idx2.size(); ++b)
       owned[result.assignment.owner[b]].push_back(b);
   }
-  // The dense kernel's per-solve S2 column-event table, shared read-only by
-  // all stage-one workers and stage two.
-  const ColumnEvents& col_events = workspace.column_events().build(s2);
   if (const obs::CounterSample delta = preprocess_counters.close();
       delta.available && preprocess_span.active())
     preprocess_span.set_args(obs::counter_trace_args(delta));
@@ -113,16 +111,14 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
   result.stats.preprocess_seconds = phase.seconds();
 
   // --- Stage one: child slices in parallel — one barrier per M row
-  // (static/dynamic) or barrier-free dependency-driven stealing. ---
+  // (static) or barrier-free dependency-driven stealing. ---
   phase.reset();
   obs::TraceScope stage1_span("prna", "stage1");
   // The caller's request-scoped trace context does not follow work onto
   // pool threads (thread_local); capture it here and re-establish it on
   // each stage-one worker so their spans stay correlated with the request.
   const std::uint64_t trace_id = obs::trace_context::current();
-  const char* schedule_name = stealing ? "stealing"
-                              : options.schedule == PrnaSchedule::kDynamic ? "dynamic"
-                                                                           : "static";
+  const char* schedule_name = stealing ? "stealing" : "static";
   if (obs::Logger::instance().enabled(obs::LogLevel::kDebug))
     obs::log_debug(
         "prna.stage1_start",
@@ -229,10 +225,7 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
       obs::CounterScope lane_counters("prna.stage1");
       McosStats& local = thread_stats[tid];
       PrnaThreadTimeline& timeline = result.timeline[tid];
-      Workspace& pool = Workspace::local();
-      Matrix<Score>& dense_scratch = pool.dense_grid(0);
-      EventScratch& compressed_scratch = pool.events(0);
-      const SliceKernel slice_kernel = pool.slice_kernel(0);
+      SliceScratch& scratch = Workspace::local().slice_scratch(0);
       WorkStealingDeque& mine = queues[tid];
 
       auto run_slice = [&](std::uint32_t id) {
@@ -241,19 +234,8 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
         WallTimer busy;
         try {
           if (options.stage1_hook) options.stage1_hook(a, b);
-          const Arc arc1 = idx1.arc(a);
-          const Arc arc2 = idx2.arc(b);
-          Score value;
-          if (dense) {
-            value = tabulate_slice_dense(
-                s1, s2, col_events,
-                SliceBounds::under(arc1.left, arc1.right, arc2.left, arc2.right),
-                dense_scratch, slice_kernel, d2_lookup, &local);
-          } else {
-            value = tabulate_slice_compressed(idx1.interior(a), idx2.interior(b),
-                                              compressed_scratch, d2_lookup, &local);
-          }
-          memo.set(arc1.left + 1, arc2.left + 1, value);
+          memo.set(idx1.arc(a).left + 1, idx2.arc(b).left + 1,
+                   slices.child(a, b, scratch, d2_lookup, &local));
           // The release half of the decrement publishes the memo write; the
           // acquire half makes the worker that takes the parent ready see
           // every child's writes (transitively, along the decrement chain).
@@ -332,57 +314,25 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
     // distinct buffer from the caller's memo, even when the master's pool IS
     // the caller workspace); OpenMP threads persist across regions, so these
     // buffers amortize across successive prna() calls too.
-    Workspace& pool = Workspace::local();
-    Matrix<Score>& dense_scratch = pool.dense_grid(0);
-    EventScratch& compressed_scratch = pool.events(0);
-    const SliceKernel slice_kernel = pool.slice_kernel(0);
-
-    auto tabulate_pair = [&](std::size_t a, std::size_t b) {
-      if (options.stage1_hook) options.stage1_hook(a, b);
-      const Arc arc1 = idx1.arc(a);
-      const Arc arc2 = idx2.arc(b);
-      Score value;
-      if (dense) {
-        value = tabulate_slice_dense(
-            s1, s2, col_events,
-            SliceBounds::under(arc1.left, arc1.right, arc2.left, arc2.right),
-            dense_scratch, slice_kernel, d2_lookup, &local);
-      } else {
-        value = tabulate_slice_compressed(idx1.interior(a), idx2.interior(b),
-                                          compressed_scratch, d2_lookup, &local);
-      }
-      memo.set(arc1.left + 1, arc2.left + 1, value);
-    };
+    SliceScratch& scratch = Workspace::local().slice_scratch(0);
 
     for (std::size_t a = 0; a < idx1.size(); ++a) {
-      // Busy phase: this worker's owned-column batch of the row (static) or
-      // its share of the dynamic pulls. One span per row per thread.
+      // Busy phase: this worker's owned-column batch of the row. One span
+      // per row per thread.
       WallTimer busy;
       {
         obs::TraceScope row_span("prna", "row");
         if (row_span.active())
-          row_span.set_args(obs::trace_args(
-              {{"row", static_cast<std::int64_t>(a)},
-               {"owned", static_cast<std::int64_t>(
-                             options.schedule == PrnaSchedule::kDynamic
-                                 ? idx2.size()
-                                 : owned[tid].size())}}));
-        if (options.schedule == PrnaSchedule::kDynamic) {
-          // Dynamic alternative: idle workers pull individual slices. nowait
-          // + the explicit barrier below publishes the row (and makes the
-          // barrier wait measurable, like the static path).
-#pragma omp for schedule(dynamic, 1) nowait
-          for (std::size_t b = 0; b < idx2.size(); ++b) {
-            if (failed.load(std::memory_order_relaxed)) continue;
-            try {
-              tabulate_pair(a, b);
-            } catch (...) {
-              capture_error();
-            }
-          }
-        } else if (!failed.load(std::memory_order_relaxed)) {
+          row_span.set_args(
+              obs::trace_args({{"row", static_cast<std::int64_t>(a)},
+                               {"owned", static_cast<std::int64_t>(owned[tid].size())}}));
+        if (!failed.load(std::memory_order_relaxed)) {
           try {
-            for (const std::size_t b : owned[tid]) tabulate_pair(a, b);
+            const Pos i1 = idx1.arc(a).left + 1;
+            for (const std::size_t b : owned[tid]) {
+              if (options.stage1_hook) options.stage1_hook(a, b);
+              memo.set(i1, idx2.arc(b).left + 1, slices.child(a, b, scratch, d2_lookup, &local));
+            }
           } catch (...) {
             capture_error();
           }
@@ -442,16 +392,7 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
   phase.reset();
   obs::TraceScope stage2_span("prna", "stage2");
   obs::CounterScope stage2_counters("prna.stage2");
-  if (dense) {
-    result.value = tabulate_slice_dense(s1, s2, col_events,
-                                        SliceBounds{0, s1.length() - 1, 0, s2.length() - 1},
-                                        workspace.dense_grid(0),
-                                        workspace.slice_kernel(0), d2_lookup,
-                                        &result.stats);
-  } else {
-    result.value = tabulate_slice_compressed(idx1.all(), idx2.all(), workspace.events(0),
-                                             d2_lookup, &result.stats);
-  }
+  result.value = slices.parent(workspace.slice_scratch(0), d2_lookup, &result.stats);
   if (const obs::CounterSample delta = stage2_counters.close();
       delta.available && stage2_span.active())
     stage2_span.set_args(obs::counter_trace_args(delta));

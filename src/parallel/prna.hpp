@@ -28,10 +28,8 @@ namespace srna {
 //
 // kStaticColumns is the paper's design: one load-balanced column ownership
 // computed in preprocessing and reused for every row (valid because the
-// per-row work factors as w1(row)·w2(column)). kDynamic hands individual
-// slices to idle workers as they finish — the conventional alternative the
-// static design is measured against (ablation_dynamic_schedule). Both
-// publish each memo row with a barrier.
+// per-row work factors as w1(row)·w2(column)); a barrier publishes each memo
+// row.
 //
 // kStealing drops the barriers entirely: each slice carries an atomic count
 // of its unfinished direct-child slices (ArcForest), a finished slice
@@ -40,7 +38,7 @@ namespace srna {
 // Threads flow across row boundaries instead of waiting on the row's
 // straggler; barrier_wait_seconds is structurally zero and the cost of
 // scheduling shows up as steal/idle metrics instead.
-enum class PrnaSchedule : std::uint8_t { kStaticColumns, kDynamic, kStealing };
+enum class PrnaSchedule : std::uint8_t { kStaticColumns, kStealing };
 
 struct PrnaOptions {
   // Worker threads; 0 = OpenMP default (typically the core count).
@@ -65,7 +63,7 @@ struct PrnaOptions {
 
 // What one worker did during stage one: realized work plus where its wall
 // time went — tabulating (busy) versus waiting at the per-row barrier
-// (static/dynamic) or spinning for stealable work (kStealing). The imbalance
+// (static) or spinning for stealable work (kStealing). The imbalance
 // between the two is the paper's load-balance story (Figure 8); the run
 // report serializes this, and `--trace` shows the same data as per-row
 // spans.

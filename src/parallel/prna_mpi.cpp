@@ -2,9 +2,8 @@
 
 #include <vector>
 
-#include "core/arc_index.hpp"
 #include "core/memo_table.hpp"
-#include "core/tabulate_slice.hpp"
+#include "core/slice_tabulator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -25,7 +24,6 @@ PrnaMpiResult prna_mpi(const SecondaryStructure& s1, const SecondaryStructure& s
                "MCOS model requires non-pseudoknot structures");
 
   const auto ranks = static_cast<std::size_t>(options.ranks);
-  const bool dense = options.layout == SliceLayout::kDense;
 
   PrnaMpiResult result;
   result.ranks = options.ranks;
@@ -42,8 +40,10 @@ PrnaMpiResult prna_mpi(const SecondaryStructure& s1, const SecondaryStructure& s
     obs::TraceScope preprocess_span("prna_mpi", "preprocess");
     if (preprocess_span.active())
       preprocess_span.set_args(obs::trace_args({{"rank", comm.rank()}}));
-    const ArcIndex idx1(s1);
-    const ArcIndex idx2(s2);
+    ColumnEvents col_events;
+    const SliceTabulator slices(s1, s2, col_events.build(s2), options.layout);
+    const ArcIndex& idx1 = slices.arcs1();
+    const ArcIndex& idx2 = slices.arcs2();
 
     std::vector<std::uint64_t> col_weights(idx2.size());
     for (std::size_t b = 0; b < idx2.size(); ++b)
@@ -70,28 +70,12 @@ PrnaMpiResult prna_mpi(const SecondaryStructure& s1, const SecondaryStructure& s
     obs::TraceScope stage1_span("prna_mpi", "stage1");
     if (stage1_span.active())
       stage1_span.set_args(obs::trace_args({{"rank", comm.rank()}}));
-    Matrix<Score> dense_scratch;
-    EventScratch compressed_scratch;
-    ColumnEvents col_events;
-    col_events.build(s2);  // per rank: replicated like the memo table
-    KernelScratch kernel_scratch;
-    const SliceKernel kernel{&kernel_scratch};
+    SliceScratch scratch;
     for (std::size_t a = 0; a < idx1.size(); ++a) {
       const Arc arc1 = idx1.arc(a);
-      for (const std::size_t b : owned) {
-        const Arc arc2 = idx2.arc(b);
-        Score value;
-        if (dense) {
-          value = tabulate_slice_dense(
-              s1, s2, col_events,
-              SliceBounds::under(arc1.left, arc1.right, arc2.left, arc2.right),
-              dense_scratch, kernel, d2_lookup, &stats);
-        } else {
-          value = tabulate_slice_compressed(idx1.interior(a), idx2.interior(b),
-                                            compressed_scratch, d2_lookup, &stats);
-        }
-        memo.set(arc1.left + 1, arc2.left + 1, value);
-      }
+      for (const std::size_t b : owned)
+        memo.set(arc1.left + 1, idx2.arc(b).left + 1,
+                 slices.child(a, b, scratch, d2_lookup, &stats));
       // "Synchronize row i1 in M across all processors" — the paper's
       // MPI_Allreduce with MPI_MAX over the beginning address of the row.
       comm.allreduce_max(memo.row(arc1.left + 1), static_cast<std::size_t>(memo.cols()));
@@ -106,15 +90,7 @@ PrnaMpiResult prna_mpi(const SecondaryStructure& s1, const SecondaryStructure& s
     obs::TraceScope stage2_span("prna_mpi", "stage2");
     if (stage2_span.active())
       stage2_span.set_args(obs::trace_args({{"rank", comm.rank()}}));
-    if (dense) {
-      rank_values[rank] =
-          tabulate_slice_dense(s1, s2, col_events,
-                               SliceBounds{0, s1.length() - 1, 0, s2.length() - 1},
-                               dense_scratch, kernel, d2_lookup, rank == 0 ? &stats : nullptr);
-    } else {
-      rank_values[rank] = tabulate_slice_compressed(idx1.all(), idx2.all(), compressed_scratch,
-                                                    d2_lookup, rank == 0 ? &stats : nullptr);
-    }
+    rank_values[rank] = slices.parent(scratch, d2_lookup, rank == 0 ? &stats : nullptr);
     stats.stage2_seconds = phase.seconds();
   });
 

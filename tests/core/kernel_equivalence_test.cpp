@@ -2,10 +2,12 @@
 // per-cell reference fill it is pinned against (fill_slice_dense_reference,
 // kept exactly for this test and the perf gate), the lean solver's row
 // stream (detail::stream_slice_rows), and the compressed event-grid layout.
-// The dense kernel and the stream must be pure strength reductions — same
-// cells, d2 calls, cells_tabulated and arc_match_events — and the compressed
-// layout must agree on F (its cell accounting differs by design). Under
-// -DSRNA_DISABLE_SIMD the same cases pin the kernel's scalar instantiation.
+// All three run the one row routine. The dense kernel and the stream must be
+// pure strength reductions — same cells, d2 calls, cells_tabulated and
+// arc_match_events. The compressed layout keeps one cell per arc pair: each
+// must equal the reference cell at the two arcs' right endpoints, with the
+// reference's d2 calls and arc_match_events. Under -DSRNA_DISABLE_SIMD the
+// same cases pin the row routine's scalar instantiation.
 
 #include <gtest/gtest.h>
 
@@ -65,6 +67,49 @@ void expect_same_grid(const Matrix<Score>& actual, const Matrix<Score>& expected
   for (std::size_t r = 0; r < expected.rows(); ++r)
     for (std::size_t c = 0; c < expected.cols(); ++c)
       ASSERT_EQ(actual(r, c), expected(r, c)) << what << " cell (" << r << ", " << c << ")";
+}
+
+// The arcs of `s` inside [lo, hi], by right endpoint: the rows (S1) or
+// columns (S2) of the compressed layout's event grid over that interval.
+std::vector<Arc> arcs_within(const SecondaryStructure& s, Pos lo, Pos hi) {
+  std::vector<Arc> out;
+  for (const Arc& a : s.arcs_by_right())
+    if (a.within(lo, hi)) out.push_back(a);
+  return out;
+}
+
+// Tabulates slice `b` in the compressed layout under the position-dependent
+// fake d2 and pins it to the per-cell reference: event-grid cell (r, c) is
+// the reference cell at (rows[r].right, cols[c].right), the d2 calls are the
+// reference's, and the layout tabulates — and counts as arc-match events —
+// one cell per arc pair.
+void expect_compressed_matches_reference(const SecondaryStructure& s1,
+                                         const SecondaryStructure& s2, SliceBounds b,
+                                         EventScratch& events, KernelScratch& kernel,
+                                         const std::string& what) {
+  std::vector<D2Call> expected_calls;
+  Matrix<Score> expected;
+  McosStats expected_stats;
+  fill_slice_dense_reference(s1, s2, b, expected, RecordingD2{&expected_calls},
+                             &expected_stats);
+  const std::vector<Arc> rows = arcs_within(s1, b.lo1, b.hi1);
+  const std::vector<Arc> cols = arcs_within(s2, b.lo2, b.hi2);
+
+  std::vector<D2Call> calls;
+  McosStats stats;
+  const Score corner = tabulate_slice_compressed(rows, cols, events, SliceKernel{&kernel},
+                                                 RecordingD2{&calls}, &stats);
+  for (std::size_t r = 0; r < rows.size() && !cols.empty(); ++r)
+    for (std::size_t c = 0; c < cols.size(); ++c)
+      ASSERT_EQ(events.val(r, c), expected(static_cast<std::size_t>(rows[r].right - b.lo1),
+                                            static_cast<std::size_t>(cols[c].right - b.lo2)))
+          << "compressed " << what << " event cell (" << r << ", " << c << ")";
+  EXPECT_EQ(corner, b.empty() ? 0 : expected(expected.rows() - 1, expected.cols() - 1))
+      << "compressed " << what;
+  EXPECT_EQ(calls, expected_calls) << "compressed " << what;
+  EXPECT_EQ(stats.cells_tabulated, rows.size() * cols.size()) << what;
+  EXPECT_EQ(stats.arc_match_events, expected_stats.arc_match_events) << what;
+  EXPECT_EQ(stats.slices_tabulated, 1u) << what;
 }
 
 // SRNA2 driven entirely by the per-cell reference fill: the exact loop the
@@ -136,41 +181,47 @@ TEST(KernelEquivalence, AllVariantGridsAreCellIdenticalToReference) {
   // and the exact sequence of d2 calls — SRNA1's memoize-on-miss oracle and
   // the lean store's LRU window both depend on it.
   KernelScratch scratch;
+  EventScratch events;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const auto s1 = random_structure(30, 0.6, 500 + seed);
     const auto s2 = random_structure(28, 0.6, 600 + seed);
-    const SliceBounds bounds{0, s1.length() - 1, 0, s2.length() - 1};
-    const std::string what = "seed=" + std::to_string(seed);
+    for (const SliceBounds bounds : {SliceBounds{0, s1.length() - 1, 0, s2.length() - 1},
+                                     SliceBounds{2, s1.length() - 2, 1, s2.length() - 3}}) {
+      const std::string what =
+          "seed=" + std::to_string(seed) + " lo1=" + std::to_string(bounds.lo1);
 
-    std::vector<D2Call> expected_calls;
-    Matrix<Score> expected;
-    McosStats expected_stats;
-    fill_slice_dense_reference(s1, s2, bounds, expected, RecordingD2{&expected_calls},
-                               &expected_stats);
+      std::vector<D2Call> expected_calls;
+      Matrix<Score> expected;
+      McosStats expected_stats;
+      fill_slice_dense_reference(s1, s2, bounds, expected, RecordingD2{&expected_calls},
+                                 &expected_stats);
 
-    ColumnEvents col_events;
-    col_events.build(s2);
-    std::vector<D2Call> dense_calls;
-    Matrix<Score> dense;
-    McosStats dense_stats;
-    fill_slice_dense(s1, s2, col_events, bounds, dense, SliceKernel{&scratch},
-                     RecordingD2{&dense_calls}, &dense_stats);
-    expect_same_grid(dense, expected, "dense " + what);
-    EXPECT_EQ(dense_calls, expected_calls) << what;
-    EXPECT_EQ(dense_stats.cells_tabulated, expected_stats.cells_tabulated);
-    EXPECT_EQ(dense_stats.arc_match_events, expected_stats.arc_match_events);
+      ColumnEvents col_events;
+      col_events.build(s2);
+      std::vector<D2Call> dense_calls;
+      Matrix<Score> dense;
+      McosStats dense_stats;
+      fill_slice_dense(s1, s2, col_events, bounds, dense, SliceKernel{&scratch},
+                       RecordingD2{&dense_calls}, &dense_stats);
+      expect_same_grid(dense, expected, "dense " + what);
+      EXPECT_EQ(dense_calls, expected_calls) << what;
+      EXPECT_EQ(dense_stats.cells_tabulated, expected_stats.cells_tabulated);
+      EXPECT_EQ(dense_stats.arc_match_events, expected_stats.arc_match_events);
 
-    std::vector<D2Call> stream_calls;
-    Matrix<Score> streamed;
-    McosStats stream_stats;
-    const Score corner = stream_into_grid(s1, col_events, bounds, streamed,
-                                          RecordingD2{&stream_calls}, &stream_stats);
-    expect_same_grid(streamed, expected, "stream " + what);
-    EXPECT_EQ(corner, expected(expected.rows() - 1, expected.cols() - 1)) << what;
-    EXPECT_EQ(stream_calls, expected_calls) << what;
-    EXPECT_EQ(stream_stats.cells_tabulated, expected_stats.cells_tabulated);
-    EXPECT_EQ(stream_stats.arc_match_events, expected_stats.arc_match_events);
-    EXPECT_EQ(stream_stats.slices_tabulated, 1u);
+      std::vector<D2Call> stream_calls;
+      Matrix<Score> streamed;
+      McosStats stream_stats;
+      const Score corner = stream_into_grid(s1, col_events, bounds, streamed,
+                                            RecordingD2{&stream_calls}, &stream_stats);
+      expect_same_grid(streamed, expected, "stream " + what);
+      EXPECT_EQ(corner, expected(expected.rows() - 1, expected.cols() - 1)) << what;
+      EXPECT_EQ(stream_calls, expected_calls) << what;
+      EXPECT_EQ(stream_stats.cells_tabulated, expected_stats.cells_tabulated);
+      EXPECT_EQ(stream_stats.arc_match_events, expected_stats.arc_match_events);
+      EXPECT_EQ(stream_stats.slices_tabulated, 1u);
+
+      expect_compressed_matches_reference(s1, s2, bounds, events, scratch, what);
+    }
   }
 }
 
@@ -180,6 +231,7 @@ TEST(KernelEquivalence, VariantsHandleEventFreeAndSingleEventRows) {
   // with a single event or fewer events than one vector block (the scalar
   // remainder legs).
   KernelScratch scratch;
+  EventScratch events;
   const auto s1 = random_structure(20, 0.5, 7);
   const auto s2 = random_structure(22, 0.3, 9);
   ColumnEvents col_events;
@@ -203,6 +255,8 @@ TEST(KernelEquivalence, VariantsHandleEventFreeAndSingleEventRows) {
       expect_same_grid(streamed, expected, "stream " + what);
       EXPECT_EQ(stream_stats.cells_tabulated, expected_stats.cells_tabulated) << what;
       EXPECT_EQ(stream_stats.arc_match_events, expected_stats.arc_match_events) << what;
+
+      expect_compressed_matches_reference(s1, s2, b, events, scratch, what);
     }
   }
 }
@@ -274,8 +328,8 @@ TEST(KernelEquivalence, ColumnEventsMatchPerPositionProbes) {
         const Pos k = s.arc_left_of(y);
         if (k < 0) continue;  // no arc ends at y: no event
         ASSERT_LT(i, span.size());
-        EXPECT_EQ(span[i].y, y);
-        EXPECT_EQ(span[i].k, k);
+        EXPECT_EQ(span[i].right, y);
+        EXPECT_EQ(span[i].left, k);
         ++i;
       }
       EXPECT_EQ(i, span.size()) << "lo=" << lo << " hi=" << hi;
@@ -310,6 +364,13 @@ TEST(KernelEquivalence, EmptyAndArcFreeSlicesAgree) {
   EXPECT_EQ(stream_into_grid(s, col_events, SliceBounds{3, 2, 0, 1}, c, zero), 0);
   EXPECT_EQ(a.rows(), 0u);
   EXPECT_EQ(b.rows(), 0u);
+
+  // The compressed layout: no arc pair inside either slice, one slice
+  // counted, no cells.
+  EventScratch events;
+  KernelScratch kernel;
+  expect_compressed_matches_reference(s, s, SliceBounds{0, 1, 0, 1}, events, kernel, "arc-free");
+  expect_compressed_matches_reference(s, s, SliceBounds{3, 2, 0, 1}, events, kernel, "empty");
 }
 
 }  // namespace

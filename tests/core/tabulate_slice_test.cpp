@@ -97,7 +97,8 @@ TEST(DenseSlice, UsesD2Value) {
 
 TEST(CompressedSlice, EmptySpansYieldZero) {
   EventScratch scratch;
-  EXPECT_EQ(tabulate_slice_compressed({}, {}, scratch, no_d2), 0);
+  KernelScratch kernel;
+  EXPECT_EQ(tabulate_slice_compressed({}, {}, scratch, SliceKernel{&kernel}, no_d2), 0);
 }
 
 TEST(CompressedSlice, MatchesDenseOnRandomSlices) {
@@ -109,10 +110,11 @@ TEST(CompressedSlice, MatchesDenseOnRandomSlices) {
 
     Matrix<Score> dense_scratch;
     EventScratch compressed_scratch;
+    KernelScratch kernel;
     const Score dense = tabulate_slice_dense(
         s1, s2, SliceBounds{0, s1.length() - 1, 0, s2.length() - 1}, dense_scratch, zero_d2);
-    const Score compressed =
-        tabulate_slice_compressed(idx1.all(), idx2.all(), compressed_scratch, zero_d2);
+    const Score compressed = tabulate_slice_compressed(idx1.all(), idx2.all(), compressed_scratch,
+                                                       SliceKernel{&kernel}, zero_d2);
     EXPECT_EQ(dense, compressed) << "seed " << seed;
   }
 }
@@ -124,6 +126,7 @@ TEST(CompressedSlice, MatchesDenseOnInteriorSlices) {
   const ArcIndex idx2(s2);
   Matrix<Score> dense_scratch;
   EventScratch compressed_scratch;
+  KernelScratch kernel;
   for (std::size_t a = 0; a < idx1.size(); ++a) {
     for (std::size_t b = 0; b < idx2.size(); ++b) {
       const Arc a1 = idx1.arc(a);
@@ -133,7 +136,7 @@ TEST(CompressedSlice, MatchesDenseOnInteriorSlices) {
           zero_d2);
       const Score compressed =
           tabulate_slice_compressed(idx1.interior(a), idx2.interior(b), compressed_scratch,
-                                    zero_d2);
+                                    SliceKernel{&kernel}, zero_d2);
       EXPECT_EQ(dense, compressed) << a1 << " x " << a2;
     }
   }
@@ -146,10 +149,11 @@ TEST(CompressedSlice, SparseEventCountsFarBelowDense) {
   McosStats compressed_stats;
   Matrix<Score> dense_scratch;
   EventScratch compressed_scratch;
+  KernelScratch kernel;
   (void)tabulate_slice_dense(s, s, SliceBounds{0, s.length() - 1, 0, s.length() - 1},
                              dense_scratch, zero_d2, &dense_stats);
-  (void)tabulate_slice_compressed(idx.all(), idx.all(), compressed_scratch, zero_d2,
-                                  &compressed_stats);
+  (void)tabulate_slice_compressed(idx.all(), idx.all(), compressed_scratch,
+                                  SliceKernel{&kernel}, zero_d2, &compressed_stats);
   EXPECT_LT(compressed_stats.cells_tabulated * 4, dense_stats.cells_tabulated);
 }
 

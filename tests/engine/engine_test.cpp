@@ -73,20 +73,12 @@ TEST(EngineValidation, RejectsKnobsTheBackendCannotHonor) {
   EXPECT_NO_THROW(engine.at("prna-mpi-sim").validate(ranked));
   EXPECT_THROW(engine.at("prna").validate(ranked), std::invalid_argument);
 
-  // prna-steal is pinned to the stealing schedule: the barrier schedules are
-  // `prna`'s business, and `balance` only means anything to those.
-  SolverConfig dynamic_schedule;
-  dynamic_schedule.schedule = PrnaSchedule::kDynamic;
-  EXPECT_NO_THROW(engine.at("prna").validate(dynamic_schedule));
-  EXPECT_THROW(engine.at("prna-steal").validate(dynamic_schedule), std::invalid_argument);
-
-  SolverConfig stealing;
-  stealing.schedule = PrnaSchedule::kStealing;
-  EXPECT_NO_THROW(engine.at("prna").validate(stealing));
-  EXPECT_NO_THROW(engine.at("prna-steal").validate(stealing));
-  stealing.balance = BalanceStrategy::kCyclic;  // no owned columns to balance
-  EXPECT_THROW(engine.at("prna").validate(stealing), std::invalid_argument);
-  EXPECT_THROW(engine.at("prna-steal").validate(stealing), std::invalid_argument);
+  // `prna` runs the paper's static schedule, whose column ownership a
+  // balance strategy shapes; prna-steal has no owned columns to balance.
+  SolverConfig cyclic;
+  cyclic.balance = BalanceStrategy::kCyclic;
+  EXPECT_NO_THROW(engine.at("prna").validate(cyclic));
+  EXPECT_THROW(engine.at("prna-steal").validate(cyclic), std::invalid_argument);
 
   // layout and validate_memo are accept-and-ignore everywhere, including the
   // references — layout sweeps must be able to cover all backends.
@@ -171,8 +163,8 @@ TEST(EngineWorkspace, SmallerSolveKeepsCapacity) {
 TEST(EngineWorkspace, ClearReleasesBuffers) {
   Workspace ws;
   ws.memo(32, 32, 0);
-  ws.dense_grid(0).resize(16, 16, 0);
-  ws.events(1);
+  ws.slice_scratch(0).grid.resize(16, 16, 0);
+  ws.slice_scratch(1);
   EXPECT_GT(ws.footprint_bytes(), 0u);
   ws.clear();
   EXPECT_EQ(ws.footprint_bytes(), 0u);

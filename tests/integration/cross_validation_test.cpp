@@ -81,8 +81,8 @@ TEST_P(CrossValidation, EveryImplementationAgrees) {
     PrnaOptions opt;
     opt.num_threads = threads;
     EXPECT_EQ(prna(s1, s2, opt).value, expected) << "prna static t=" << threads;
-    opt.schedule = PrnaSchedule::kDynamic;
-    EXPECT_EQ(prna(s1, s2, opt).value, expected) << "prna dynamic t=" << threads;
+    opt.schedule = PrnaSchedule::kStealing;
+    EXPECT_EQ(prna(s1, s2, opt).value, expected) << "prna stealing t=" << threads;
   }
 
   // Message-passing PRNA.

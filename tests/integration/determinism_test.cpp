@@ -64,7 +64,7 @@ TEST(Determinism, ParallelValueIndependentOfConcurrency) {
     for (int t : {1, 2, 5}) {
       PrnaOptions opt;
       opt.num_threads = t;
-      opt.schedule = repeat % 2 == 0 ? PrnaSchedule::kStaticColumns : PrnaSchedule::kDynamic;
+      opt.schedule = repeat % 2 == 0 ? PrnaSchedule::kStaticColumns : PrnaSchedule::kStealing;
       EXPECT_EQ(prna(s1, s2, opt).value, expected);
     }
     PrnaMpiOptions mpi;

@@ -115,30 +115,6 @@ TEST(Prna, DefaultThreadCountRuns) {
   EXPECT_GE(r.threads_used, 1);
 }
 
-TEST(Prna, DynamicScheduleMatchesStatic) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const auto s1 = random_structure(60, 0.5, seed);
-    const auto s2 = random_structure(55, 0.5, seed + 3);
-    PrnaOptions stat;
-    stat.num_threads = 3;
-    PrnaOptions dyn = stat;
-    dyn.schedule = PrnaSchedule::kDynamic;
-    dyn.validate_memo = true;  // row ordering must hold under dynamic pulls too
-    const auto a = prna(s1, s2, stat);
-    const auto b = prna(s1, s2, dyn);
-    EXPECT_EQ(a.value, b.value) << seed;
-    EXPECT_EQ(a.stats.cells_tabulated, b.stats.cells_tabulated) << seed;
-  }
-}
-
-TEST(Prna, DynamicScheduleWorstCase) {
-  const auto s = worst_case_structure(60);
-  PrnaOptions dyn;
-  dyn.num_threads = 4;
-  dyn.schedule = PrnaSchedule::kDynamic;
-  EXPECT_EQ(prna(s, s, dyn).value, 30);
-}
-
 TEST(Prna, ManyMoreThreadsThanColumns) {
   const auto s = db("((..))");  // 2 arcs only
   PrnaOptions opt;
@@ -160,17 +136,6 @@ TEST(Prna, StageOneExceptionPropagatesToCaller) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "injected stage-one fault");
   }
-}
-
-TEST(Prna, StageOneExceptionPropagatesUnderDynamicSchedule) {
-  const auto s = random_structure(40, 0.5, 13);
-  PrnaOptions opt;
-  opt.num_threads = 4;
-  opt.schedule = PrnaSchedule::kDynamic;
-  opt.stage1_hook = [](std::size_t, std::size_t) {
-    throw std::runtime_error("injected dynamic fault");
-  };
-  EXPECT_THROW(prna(s, s, opt), std::runtime_error);
 }
 
 TEST(Prna, FirstOfManyConcurrentFaultsWins) {
@@ -240,18 +205,14 @@ TEST(PrnaStealing, BitIdenticalAcrossAllThreeSchedules) {
     const auto s2 = random_structure(58, 0.5, 600 + seed);
     PrnaOptions stat;
     stat.num_threads = 3;
-    PrnaOptions dyn = stat;
-    dyn.schedule = PrnaSchedule::kDynamic;
     PrnaOptions steal = stat;
     steal.schedule = PrnaSchedule::kStealing;
     const auto a = prna(s1, s2, stat);
-    const auto b = prna(s1, s2, dyn);
-    const auto c = prna(s1, s2, steal);
-    EXPECT_EQ(c.value, a.value) << seed;
-    EXPECT_EQ(c.value, b.value) << seed;
-    EXPECT_EQ(c.stats.cells_tabulated, a.stats.cells_tabulated) << seed;
-    EXPECT_EQ(c.stats.slices_tabulated, a.stats.slices_tabulated) << seed;
-    EXPECT_EQ(c.stats.arc_match_events, a.stats.arc_match_events) << seed;
+    const auto b = prna(s1, s2, steal);
+    EXPECT_EQ(b.value, a.value) << seed;
+    EXPECT_EQ(b.stats.cells_tabulated, a.stats.cells_tabulated) << seed;
+    EXPECT_EQ(b.stats.slices_tabulated, a.stats.slices_tabulated) << seed;
+    EXPECT_EQ(b.stats.arc_match_events, a.stats.arc_match_events) << seed;
   }
 }
 
@@ -332,17 +293,21 @@ TEST(PrnaStealing, UseStdThreadsRequiresStealingSchedule) {
 // model libgomp's synchronization but checks the Chase-Lev deque and the
 // dependency counters fully through this path.
 TEST(PrnaStealingShim, MatchesSequentialUnderStdThreads) {
-  for (const int threads : {1, 2, 4}) {
-    for (std::uint64_t seed = 0; seed < 3; ++seed) {
-      const auto s1 = random_structure(50, 0.5, 700 + seed);
-      const auto s2 = random_structure(48, 0.5, 800 + seed);
-      PrnaOptions opt;
-      opt.num_threads = threads;
-      opt.schedule = PrnaSchedule::kStealing;
-      opt.use_std_threads = true;
-      opt.validate_memo = true;
-      EXPECT_EQ(prna(s1, s2, opt).value, srna2(s1, s2).value)
-          << "threads=" << threads << " seed=" << seed;
+  // Both layouts: the workers share one read-only slice entry point.
+  for (const auto layout : {SliceLayout::kDense, SliceLayout::kCompressed}) {
+    for (const int threads : {1, 2, 4}) {
+      for (std::uint64_t seed = 0; seed < 3; ++seed) {
+        const auto s1 = random_structure(50, 0.5, 700 + seed);
+        const auto s2 = random_structure(48, 0.5, 800 + seed);
+        PrnaOptions opt;
+        opt.num_threads = threads;
+        opt.layout = layout;
+        opt.schedule = PrnaSchedule::kStealing;
+        opt.use_std_threads = true;
+        opt.validate_memo = true;
+        EXPECT_EQ(prna(s1, s2, opt).value, srna2(s1, s2).value)
+            << "threads=" << threads << " seed=" << seed;
+      }
     }
   }
 }

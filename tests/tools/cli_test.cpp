@@ -83,6 +83,15 @@ TEST(Cli, CompareRejectsWrongArity) {
   EXPECT_EQ(run("compare").code, 2);
 }
 
+TEST(Cli, CompareAcceptsLiteralsLongerThanAFileName) {
+  // 300 characters, past NAME_MAX: probing them as file names must not throw.
+  const std::string a = std::string(100, '(') + std::string(100, '.') + std::string(100, ')');
+  const std::string b = "(" + std::string(298, '.') + ")";
+  const auto r = run("compare", a.c_str(), b.c_str());
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("MCOS value: 1"), std::string::npos) << r.out;
+}
+
 TEST(Cli, CompareRejectsPseudoknotInput) {
   const auto r = run("compare", "([)]", "(.)");
   EXPECT_NE(r.code, 0);
@@ -93,6 +102,13 @@ TEST(Cli, FoldSequenceLiteral) {
   const auto r = run("fold", "GGGGAAACCCC");
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("pairs: 4"), std::string::npos);
+}
+
+TEST(Cli, FoldAcceptsSequenceLongerThanAFileName) {
+  const std::string seq = std::string(100, 'G') + std::string(100, 'A') + std::string(100, 'C');
+  const auto r = run("fold", seq.c_str());
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("pairs: 100"), std::string::npos) << r.out;
 }
 
 TEST(Cli, FoldWithDiagramAndMinLoop) {

@@ -36,14 +36,22 @@ struct LoadedStructure {
   std::string origin;
 };
 
+// True when `spec` names an existing file. The error_code overload: a
+// literal longer than NAME_MAX is simply not a file, where the throwing
+// overload would abort the command.
+bool names_file(const std::string& spec) {
+  std::error_code ec;
+  return std::filesystem::exists(spec, ec);
+}
+
 // A structure argument is a file path when it names an existing file or has
 // a structure-file extension; otherwise it is parsed as dot-bracket.
 // Pseudoknots are allowed here — show/validate/convert inspect knotted
 // structures, and the commands that cannot handle them (compare, search)
 // reject with the solver's own precondition message.
 LoadedStructure load_structure(const std::string& spec) {
-  const bool looks_like_file = std::filesystem::exists(spec) || spec.ends_with(".ct") ||
-                               spec.ends_with(".bpseq");
+  const bool looks_like_file =
+      names_file(spec) || spec.ends_with(".ct") || spec.ends_with(".bpseq");
   if (looks_like_file) {
     ParseOptions permissive;
     permissive.allow_pseudoknots = true;
@@ -165,7 +173,7 @@ int cmd_fold(const std::vector<std::string>& args, std::ostream& out, std::ostre
 
   Sequence seq;
   const std::string& spec = cli.positional()[0];
-  if (std::filesystem::exists(spec)) {
+  if (names_file(spec)) {
     seq = read_structure_file(spec).sequence;
   } else {
     seq = Sequence::from_string(spec);

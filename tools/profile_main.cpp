@@ -97,7 +97,8 @@ int main(int argc, char** argv) {
   cli.add_option("length", "worst-case sequence length (Table I pair, self-comparison)",
                  "400");
   cli.add_option("threads", "thread counts to measure", "1,2,4");
-  cli.add_option("schedule", "stealing | static | dynamic", "stealing");
+  cli.add_option("schedule", "stealing (backend prna-steal) | static (backend prna)",
+                 "stealing");
   cli.add_option("report",
                  "run-report path (default BENCH_parallel_analysis.json; none = skip)", "");
   cli.add_flag("smoke", "tiny fast instance (L=64, threads 1,2, no report) for the "
@@ -115,25 +116,23 @@ int main(int argc, char** argv) {
   }
   if (threads.empty() || threads.front() != 1) threads.insert(threads.begin(), 1);
 
-  SolverConfig config;
+  // Both backends run prna(), so the phase names below are the same.
   const std::string schedule_name = cli.str("schedule");
-  if (schedule_name == "static")
-    config.schedule = PrnaSchedule::kStaticColumns;
-  else if (schedule_name == "dynamic")
-    config.schedule = PrnaSchedule::kDynamic;
-  else if (schedule_name == "stealing")
-    config.schedule = PrnaSchedule::kStealing;
-  else {
+  const char* backend_name = schedule_name == "static"     ? "prna"
+                             : schedule_name == "stealing" ? "prna-steal"
+                                                           : nullptr;
+  if (backend_name == nullptr) {
     std::fprintf(stderr, "unknown --schedule '%s'\n", schedule_name.c_str());
     return 1;
   }
+  SolverConfig config;
 
   obs::publish_counter_availability();
   const bool perf_available =
       !obs::CounterSet::disabled_by_env() && obs::CounterSet::local().available();
 
   const SecondaryStructure s = worst_case_structure(length);
-  const auto& backend = McosEngine::instance().at("prna");
+  const auto& backend = McosEngine::instance().at(backend_name);
 
   obs::RunReport report("srna-profile");
   report.set_command_line(argc, argv);
