@@ -19,7 +19,12 @@
 #                      workspaces hardest,
 #   * serve_tests    — the query service: cancelled solves must leave pooled
 #                      workspaces reusable, cache keys own their canonical
-#                      forms, connection buffers stay in bounds.
+#                      forms, connection buffers stay in bounds, and the
+#                      request and response parsers under fuzzed lines
+#                      (ProtocolFuzz.*),
+#   * obs_tests      — the JSON reader under fuzzed input and its nesting
+#                      limit (JsonFuzz.*), plus the rest of the
+#                      observability suite.
 #
 # The tree is configured with -DSRNA_DISABLE_SIMD=ON: the scalar
 # instantiation of the one slice row routine is the sanitized path by
@@ -41,7 +46,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DSRNA_DISABLE_SIMD=ON \
   -DSRNA_BUILD_BENCH=OFF \
   -DSRNA_BUILD_EXAMPLES=OFF
-cmake --build "$BUILD_DIR" --target core_tests memstore_tests engine_tests db_tests serve_tests -j "$(nproc)"
+cmake --build "$BUILD_DIR" --target core_tests memstore_tests engine_tests db_tests serve_tests obs_tests -j "$(nproc)"
 
 # ASan aborts with a non-zero exit on the first bad access and UBSan on the
 # first undefined operation, so a plain pass/fail is the whole signal.

@@ -16,7 +16,10 @@
 #                      checkpoint loader (its offset and count arithmetic),
 #   * engine_tests   — workspace byte accounting and dispatch,
 #   * obs_tests      — counters, histograms, JSON numerics, the counter stub,
-#                      and the critical-path analyzer.
+#                      the critical-path analyzer, and the JSON reader under
+#                      fuzzed input (JsonFuzz.*),
+#   * serve_tests    — the wire protocol's parsers under fuzzed lines
+#                      (ProtocolFuzz.*) and the service they feed.
 #
 # Configured with -DSRNA_DISABLE_SIMD=ON so the scalar instantiation of the
 # one slice row routine — what every slice under either layout runs (dense
@@ -36,7 +39,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DSRNA_DISABLE_SIMD=ON \
   -DSRNA_BUILD_BENCH=OFF \
   -DSRNA_BUILD_EXAMPLES=OFF
-cmake --build "$BUILD_DIR" --target core_tests memstore_tests engine_tests obs_tests -j "$(nproc)"
+cmake --build "$BUILD_DIR" --target core_tests memstore_tests engine_tests obs_tests serve_tests -j "$(nproc)"
 
 # Make every UBSan finding fatal (the default only prints); a clean exit is
 # the whole signal.

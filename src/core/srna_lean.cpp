@@ -88,17 +88,10 @@ class LeanRunner {
 
   // The d2 oracle: window probe, recompute-on-miss. (k1, x) / (k2, y) are
   // arcs of S1 / S2; a miss streams the child slice at recursion level
-  // `level + 1` and re-memoizes its value.
+  // `level + 1` and re-memoizes its value. Counts one memo lookup.
   Score resolve(Pos k1, Pos x, Pos k2, Pos y, std::size_t level) {
     ++stats_.memo_lookups;
-    Score v = 0;
-    if (store_.try_load(k1 + 1, k2 + 1, v)) return v;
-    ++stats_.memo_misses;
-    stats_.max_spawn_depth =
-        std::max(stats_.max_spawn_depth, static_cast<std::uint64_t>(level + 1));
-    v = eval_child(idx1_.index_of_right(x), idx2_.index_of_right(y), level + 1);
-    store_.store(k1 + 1, k2 + 1, v);
-    return v;
+    return probe(k1, x, k2, y, level);
   }
 
   [[nodiscard]] auto d2_fn(std::size_t level) {
@@ -130,6 +123,19 @@ class LeanRunner {
   }
 
  private:
+  // resolve() without the lookup count: eval() counts its slice's lookups
+  // in a local and adds them to the stats once per slice.
+  Score probe(Pos k1, Pos x, Pos k2, Pos y, std::size_t level) {
+    Score v = 0;
+    if (store_.try_load(k1 + 1, k2 + 1, v)) return v;
+    ++stats_.memo_misses;
+    stats_.max_spawn_depth =
+        std::max(stats_.max_spawn_depth, static_cast<std::uint64_t>(level + 1));
+    v = eval_child(idx1_.index_of_right(x), idx2_.index_of_right(y), level + 1);
+    store_.store(k1 + 1, k2 + 1, v);
+    return v;
+  }
+
   Score eval_child(std::size_t a, std::size_t b, std::size_t level) {
     const Arc arc1 = idx1_.arc(a);
     const Arc arc2 = idx2_.arc(b);
@@ -144,10 +150,16 @@ class LeanRunner {
              std::size_t level) {
     SliceScratch& scratch = ws_.slice_scratch(level);
     const SliceKernel kernel{&scratch.kernel};
-    if (dense_)
-      return stream_slice_dense(s1_, col_events_, b, scratch.lean, kernel, d2_fn(level),
-                                &stats_);
-    return tabulate_slice_compressed(rows, cols, scratch.events, kernel, d2_fn(level), &stats_);
+    std::uint64_t lookups = 0;
+    const auto d2 = [this, level, &lookups](Pos k1, Pos x, Pos k2, Pos y) {
+      ++lookups;
+      return probe(k1, x, k2, y, level);
+    };
+    const Score value =
+        dense_ ? stream_slice_dense(s1_, col_events_, b, scratch.lean, kernel, d2, &stats_)
+               : tabulate_slice_compressed(rows, cols, scratch.events, kernel, d2, &stats_);
+    stats_.memo_lookups += lookups;
+    return value;
   }
 
   const SecondaryStructure& s1_;

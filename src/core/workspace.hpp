@@ -13,17 +13,19 @@
 //   * slice_scratch(level) — everything one live slice works in (SliceScratch:
 //                            dense grid, row-routine scratch, compressed event
 //                            grid, srna-lean's streamed rows); `level` keys
-//                            SRNA1's and srna-lean's live recursion levels (0
-//                            for the non-recursive solvers), each level a
-//                            stable, reusable bundle
+//                            SRNA1's and srna-lean's live recursion levels
+//                            and PRNA's stage-one workers (0 for the other
+//                            solvers), each level a stable, reusable bundle
 //   * column_events()      — the per-solve S2 column-event table the row
 //                            routine sweeps between (rebuild per solve;
 //                            capacity survives)
 //
 // Thread pooling: local() hands out one Workspace per thread (thread_local),
-// which is what the OpenMP pair loops in the structure DB and PRNA's
-// stage-one workers use — each worker reuses its own buffers across pairs /
-// rows with no synchronization. The engine wraps solves in
+// which is what the structure DB's scan workers use — each reuses its own
+// buffers across pairs with no synchronization. PRNA's stage-one workers
+// instead tabulate in slice_scratch(worker) of the caller's workspace: a
+// thread team's threads are new on every call, so their thread-local pools
+// would not outlive the solve. The engine wraps solves in
 // solve_with(), which counts reuse (engine.workspace_reuse) and capacity
 // growth (engine.workspace_alloc_bytes) against these footprints.
 //
@@ -70,8 +72,9 @@ class Workspace {
 
   // The slice scratch of recursion level `level` (0 for non-recursive use).
   // Level-indexed because SRNA1 and srna-lean tabulate child slices while the
-  // parent slice is live; each live level needs its own bundle. Bundles are
-  // heap-anchored, so references survive the pool growing for deeper levels.
+  // parent slice is live; each live level needs its own bundle (and PRNA
+  // gives each stage-one worker its own). Bundles are heap-anchored, so
+  // references survive the pool growing for deeper levels.
   SliceScratch& slice_scratch(std::size_t level = 0) {
     while (slice_scratch_.size() <= level)
       slice_scratch_.push_back(std::make_unique<SliceScratch>());
@@ -150,9 +153,9 @@ class Workspace {
     column_events_ = ColumnEvents{};
   }
 
-  // The calling thread's pooled workspace. OpenMP worker threads persist
-  // across parallel regions, so the pool amortizes across an entire pair
-  // loop (and across successive loops).
+  // The calling thread's pooled workspace. It lives as long as the thread;
+  // a database scan's team lives for the whole scan, so the pool amortizes
+  // across every pair a worker claims.
   static Workspace& local();
 
  private:

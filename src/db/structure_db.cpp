@@ -1,14 +1,14 @@
 #include "db/structure_db.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 #include "core/workspace.hpp"
 #include "engine/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parallel/team.hpp"
 #include "rna/formats.hpp"
 #include "rna/generators.hpp"
 #include "rna/structure_hash.hpp"
@@ -98,6 +98,28 @@ double score_pair(Score common, const SecondaryStructure& a, const SecondaryStru
   return 0.0;
 }
 
+// Runs body(i) for every i < count on a team of team_size(threads) workers.
+// Each worker claims the next index from one shared counter, a dynamic
+// schedule for wildly uneven pair costs. The first exception a body throws
+// stops further claims and is rethrown after the join.
+template <typename Body>
+void for_each_claimed(std::size_t count, int threads, const Body& body) {
+  std::atomic<std::size_t> next{0};
+  const int team = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(team_size(threads)),
+                            std::max<std::size_t>(count, 1)));
+  run_team(team, [&](std::size_t /*worker*/) {
+    for (std::size_t i = next++; i < count; i = next++) {
+      try {
+        body(i);
+      } catch (...) {
+        next = count;
+        throw;
+      }
+    }
+  });
+}
+
 }  // namespace
 
 Matrix<double> all_pairs_similarity(const StructureDatabase& db, const SearchOptions& options) {
@@ -112,8 +134,8 @@ Matrix<double> all_pairs_similarity(const StructureDatabase& db, const SearchOpt
                     : static_cast<double>(s.arc_count());
   }
 
-  // Strict upper triangle, flattened so OpenMP can dynamically schedule the
-  // wildly uneven pair costs.
+  // Strict upper triangle, flattened so the team can claim pairs one at a
+  // time.
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   pairs.reserve(n * (n - 1) / 2);
   for (std::size_t i = 0; i < n; ++i)
@@ -123,9 +145,7 @@ Matrix<double> all_pairs_similarity(const StructureDatabase& db, const SearchOpt
   // Resolve the backend once; registry lookups lock and the loop must not.
   const SolverBackend& backend = McosEngine::instance().at(options.algorithm);
   backend.validate(options.config);
-  const int threads = options.threads > 0 ? options.threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-  for (std::size_t t = 0; t < pairs.size(); ++t) {
+  for_each_claimed(pairs.size(), options.threads, [&](std::size_t t) {
     const auto [i, j] = pairs[t];
     obs::TraceScope span("db", "pair");
     if (span.active())
@@ -140,7 +160,7 @@ Matrix<double> all_pairs_similarity(const StructureDatabase& db, const SearchOpt
     out(i, j) = score;
     out(j, i) = score;
     pairs_counter.add();
-  }
+  });
   return out;
 }
 
@@ -154,9 +174,7 @@ std::vector<QueryHit> query_top_k(const StructureDatabase& db, const SecondarySt
       obs::Registry::instance().counter("db.query_candidates");
   const SolverBackend& backend = McosEngine::instance().at(options.algorithm);
   backend.validate(options.config);
-  const int threads = options.threads > 0 ? options.threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-  for (std::size_t i = 0; i < db.size(); ++i) {
+  for_each_claimed(db.size(), options.threads, [&](std::size_t i) {
     obs::TraceScope span("db", "query_candidate");
     if (span.active())
       span.set_args(obs::trace_args({{"candidate", static_cast<std::int64_t>(i)}}));
@@ -165,7 +183,7 @@ std::vector<QueryHit> query_top_k(const StructureDatabase& db, const SecondarySt
         solve_with(backend, query, candidate, options.config, Workspace::local()).value;
     hits[i] = QueryHit{i, common, score_pair(common, query, candidate, options.metric)};
     candidates_counter.add();
-  }
+  });
 
   // Deterministic ranking: score descending, index ascending on ties. Only
   // the leading k need full ordering, so rank with partial_sort when k cuts

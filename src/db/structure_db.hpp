@@ -80,12 +80,14 @@ enum class SimilarityMetric : std::uint8_t {
 
 struct SearchOptions {
   SimilarityMetric metric = SimilarityMetric::kNormalized;
-  // Worker threads for the pair loop; 0 = OpenMP default.
+  // Worker threads for the pair loop; 0 = the CPUs in the process's
+  // affinity mask.
   int threads = 0;
   // Engine backend computing each pairwise MCOS (any registered name; see
-  // McosEngine). With a parallel backend, the inner OpenMP region nests
-  // inside the pair loop and serializes by default — pick intra-pair OR
-  // inter-pair parallelism, not both.
+  // McosEngine). Teams do not nest (parallel/team.hpp): with a parallel
+  // backend, a scan on more than one worker runs each pair solve on its scan
+  // worker alone, with the same value. For intra-pair parallelism, scan with
+  // threads = 1.
   std::string algorithm = "srna2";
   // Backend configuration (layout, validation, threads for `prna`, ...),
   // validated against the chosen backend before the pair loop starts.

@@ -191,7 +191,7 @@ void Router::handle_line(const std::string& line,
   dispatch(id, 0);
 }
 
-void Router::dispatch(std::uint64_t id, int failed_attempt) {
+void Router::dispatch(std::uint64_t id, int failed_attempt, AttemptFailure why) {
   for (;;) {
     std::string line;
     std::size_t target = static_cast<std::size_t>(-1);
@@ -201,6 +201,9 @@ void Router::dispatch(std::uint64_t id, int failed_attempt) {
     std::uint64_t queued_start_us = 0;   // nonzero on the first attempt only
     std::uint64_t queued_dur_us = 0;
     int attempt = 0;
+    // The failed attempt this pass moves the request past (failed_attempt > 0).
+    std::size_t failed_shard = static_cast<std::size_t>(-1);
+    std::uint64_t failed_start_us = 0;
     {
       std::lock_guard lock(pending_mutex_);
       const auto it = pending_.find(id);
@@ -210,6 +213,11 @@ void Router::dispatch(std::uint64_t id, int failed_attempt) {
       // the same attempt fail; whichever comes second finds the request
       // already re-homed and must not spend (or exhaust) another attempt.
       if (entry.attempts_used != failed_attempt) return;
+      trace_id = entry.trace_id;
+      if (failed_attempt > 0) {
+        failed_shard = entry.shard;
+        failed_start_us = entry.attempt_start_us;
+      }
       if (entry.attempts_left <= 0) {
         exhausted = std::move(entry);
         pending_.erase(it);
@@ -240,7 +248,6 @@ void Router::dispatch(std::uint64_t id, int failed_attempt) {
                                        config_.request_timeout_ms));
         entry.attempts_used += 1;
         attempt = entry.attempts_used;
-        trace_id = entry.trace_id;
         if (entry.first_dispatch_ms < 0)
           entry.first_dispatch_ms = ms_between(entry.admitted, now);
         if (entry.admitted_us != 0 && obs::Tracer::instance().enabled()) {
@@ -257,6 +264,8 @@ void Router::dispatch(std::uint64_t id, int failed_attempt) {
         line = entry.doc.dump(0);
       }
     }
+    if (failed_attempt > 0)
+      note_failed_attempt(trace_id, failed_attempt, failed_shard, failed_start_us, why);
     if (exhausted) {
       // Emitting to the client never happens under the map lock.
       reject(id, std::move(*exhausted),
@@ -282,25 +291,38 @@ void Router::dispatch(std::uint64_t id, int failed_attempt) {
       return;
     }
     // Send failed: the shard is down right now. Loop — the cursor already
-    // advanced past it, so the next iteration tries the following replica
-    // (or exhausts the budget into an explicit rejection).
+    // advanced past it, so the next iteration accounts this attempt and
+    // tries the following replica (or exhausts the budget into an explicit
+    // rejection).
     failed_attempt = attempt;
-    failovers_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("router.failovers").add();
-    if (attempt_start_us != 0) {
-      obs::Tracer& tracer = obs::Tracer::instance();
-      tracer.record("dist", "attempt", attempt_start_us,
-                    tracer.now_us() - attempt_start_us,
-                    obs::trace_args({{"attempt", attempt}, {"ok", 0}}));
-      tracer.instant("dist", "failover");
-    }
-    obs::log_warn(
-        "router.failover",
-        obs::log_fields({{"trace_id", obs::Json(trace_id)},
-                         {"attempt", obs::Json(static_cast<std::int64_t>(attempt))},
-                         {"shard", obs::Json(link.address.name)},
-                         {"reason", obs::Json("send failed (shard down)")}}));
+    why = AttemptFailure::kSendFailed;
   }
+}
+
+void Router::note_failed_attempt(std::uint64_t trace_id, int attempt, std::size_t shard,
+                                 std::uint64_t attempt_start_us, AttemptFailure why) {
+  failovers_.fetch_add(1, std::memory_order_relaxed);
+  obs::Registry::instance().counter("router.failovers").add();
+  if (why == AttemptFailure::kTimeout) timeouts_.fetch_add(1, std::memory_order_relaxed);
+  const obs::TraceContextScope trace_scope(trace_id);
+  if (attempt_start_us != 0 && obs::Tracer::instance().enabled()) {
+    // The failed attempt's span closes here — its shard never answered.
+    obs::Tracer& tracer = obs::Tracer::instance();
+    tracer.record("dist", "attempt", attempt_start_us, tracer.now_us() - attempt_start_us,
+                  obs::trace_args({{"attempt", attempt}, {"ok", 0}}));
+    tracer.instant("dist", "failover");
+  }
+  const char* reason = why == AttemptFailure::kSendFailed ? "send failed (shard down)"
+                       : why == AttemptFailure::kLinkDown ? "shard connection died"
+                                                          : "attempt timeout";
+  obs::log_warn(
+      "router.failover",
+      obs::log_fields(
+          {{"trace_id", obs::Json(trace_id)},
+           {"attempt", obs::Json(static_cast<std::int64_t>(attempt))},
+           {"shard", obs::Json(shard < links_.size() ? links_[shard]->address.name
+                                                     : std::string{})},
+           {"reason", obs::Json(reason)}}));
 }
 
 bool Router::send_to_link(Link& link, const std::string& line) {
@@ -505,14 +527,12 @@ void Router::maintenance_loop() {
 
     // Re-home everything in flight on a dead link, and everything whose
     // per-attempt deadline passed (a hung-but-connected shard looks exactly
-    // like a slow one; the timeout is the only tell).
+    // like a slow one; the timeout is the only tell). dispatch() accounts
+    // each failed attempt it moves a request past.
     struct Redispatch {
       std::uint64_t id = 0;
-      std::uint64_t trace_id = 0;
-      std::uint64_t attempt_start_us = 0;
       int attempt = 0;
-      std::size_t shard = static_cast<std::size_t>(-1);
-      bool dead_link = false;
+      AttemptFailure why = AttemptFailure::kLinkDown;
     };
     std::vector<Redispatch> redispatch;
     const auto now = Clock::now();
@@ -521,37 +541,14 @@ void Router::maintenance_loop() {
       for (const auto& [id, entry] : pending_) {
         const bool on_dead_link =
             std::find(downed.begin(), downed.end(), entry.shard) != downed.end();
-        if (on_dead_link || now >= entry.deadline)
-          redispatch.push_back(Redispatch{id, entry.trace_id, entry.attempt_start_us,
-                                          entry.attempts_used, entry.shard,
-                                          on_dead_link});
+        const bool timed_out = now >= entry.deadline;
+        if (on_dead_link || timed_out)
+          redispatch.push_back(Redispatch{
+              id, entry.attempts_used,
+              timed_out ? AttemptFailure::kTimeout : AttemptFailure::kLinkDown});
       }
     }
-    for (const Redispatch& r : redispatch) {
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
-      failovers_.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::instance().counter("router.failovers").add();
-      obs::TraceContextScope trace_scope(r.trace_id);
-      if (r.attempt_start_us != 0 && obs::Tracer::instance().enabled()) {
-        // The failed attempt's span closes here — its shard never answered.
-        obs::Tracer& tracer = obs::Tracer::instance();
-        tracer.record("dist", "attempt", r.attempt_start_us,
-                      tracer.now_us() - r.attempt_start_us,
-                      obs::trace_args({{"attempt", r.attempt}, {"ok", 0}}));
-        tracer.instant("dist", "failover");
-      }
-      obs::log_warn(
-          "router.failover",
-          obs::log_fields(
-              {{"trace_id", obs::Json(r.trace_id)},
-               {"attempt", obs::Json(static_cast<std::int64_t>(r.attempt))},
-               {"shard", obs::Json(r.shard < links_.size()
-                                       ? links_[r.shard]->address.name
-                                       : std::string{})},
-               {"reason", obs::Json(r.dead_link ? "shard connection died"
-                                                : "attempt timeout")}}));
-      dispatch(r.id, r.attempt);
-    }
+    for (const Redispatch& r : redispatch) dispatch(r.id, r.attempt, r.why);
   }
 }
 

@@ -146,12 +146,24 @@ class Router {
     double first_dispatch_ms = -1;  // admission -> first dispatch (router_queued_ms)
   };
 
+  // How an attempt failed: its send failed, its link died with it in
+  // flight, or its deadline passed.
+  enum class AttemptFailure : std::uint8_t { kSendFailed, kLinkDown, kTimeout };
+
   [[nodiscard]] std::uint64_t routing_key(const serve::ServeRequest& request,
                                           bool* canonical = nullptr) const;
   // Sends request `id` to its next candidate, looping past failed sends.
   // `failed_attempt` is the attempt the caller saw fail (0 for a new
-  // request); a request that has moved past it is left alone.
-  void dispatch(std::uint64_t id, int failed_attempt);
+  // request), and `why` how it failed; a request that has moved past it is
+  // left alone. Moving a request past a failed attempt is the one point
+  // that accounts the attempt (note_failed_attempt), so a failure that a
+  // failed send and the maintenance sweep both see is counted once.
+  void dispatch(std::uint64_t id, int failed_attempt,
+                AttemptFailure why = AttemptFailure::kSendFailed);
+  // The failovers counter, the router.failover log, the failed attempt's
+  // span and the dist/failover instant; attempt_timeouts for kTimeout.
+  void note_failed_attempt(std::uint64_t trace_id, int attempt, std::size_t shard,
+                           std::uint64_t attempt_start_us, AttemptFailure why);
   bool send_to_link(Link& link, const std::string& line);
   void read_loop(Link& link);
   void handle_shard_response(Link& link, const std::string& line);

@@ -104,7 +104,7 @@ class PrnaBackend final : public SolverBackend {
  public:
   const char* name() const noexcept override { return "prna"; }
   const char* description() const noexcept override {
-    return "shared-memory parallel SRNA2 with per-row barriers (Algorithm 4, OpenMP)";
+    return "shared-memory parallel SRNA2 with per-row barriers (Algorithm 4, thread team)";
   }
   BackendCaps caps() const noexcept override {
     BackendCaps c;

@@ -18,7 +18,7 @@
 // static-library link would dead-strip unreferenced registrar TUs):
 //   srna1         lazy memoize-on-miss slice tabulation   (paper Algorithm 1)
 //   srna2         two-stage eager tabulation              (Algorithms 2–3)
-//   prna          shared-memory parallel SRNA2            (Algorithm 4, OpenMP)
+//   prna          shared-memory parallel SRNA2            (Algorithm 4, thread team)
 //   prna-mpi-sim  Algorithm 4 over the mini-MPI substrate (replicated memo,
 //                 per-row Allreduce)
 //   topdown       memoized 4-D reference (ground truth, small inputs)
@@ -67,8 +67,9 @@ struct SolverConfig {
   bool memoize = true;
   std::uint64_t spawn_limit = 0;
 
-  // Parallel backends. threads drives prna (0 = OpenMP default); ranks
-  // drives prna-mpi-sim.
+  // Parallel backends. threads drives prna and prna-steal (0 = the CPUs in
+  // the process's affinity mask; 1 inside another team's worker, since
+  // teams do not nest: parallel/team.hpp); ranks drives prna-mpi-sim.
   int threads = 0;
   int ranks = 2;
   BalanceStrategy balance = BalanceStrategy::kGreedyLpt;

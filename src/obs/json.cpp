@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace srna::obs {
 
@@ -16,11 +17,16 @@ double Json::as_double() const noexcept {
   }
 }
 
+// Doubles convert with saturation: casting one outside the integer type's
+// range is undefined behaviour, and parsed input may hold any finite double.
 std::int64_t Json::as_int() const noexcept {
   switch (kind_) {
     case Kind::kInt: return int_;
     case Kind::kUint: return static_cast<std::int64_t>(uint_);
-    case Kind::kDouble: return static_cast<std::int64_t>(double_);
+    case Kind::kDouble:
+      if (double_ >= 0x1p63) return std::numeric_limits<std::int64_t>::max();
+      if (double_ >= -0x1p63) return static_cast<std::int64_t>(double_);
+      return double_ < 0 ? std::numeric_limits<std::int64_t>::min() : 0;  // NaN: 0
     default: return 0;
   }
 }
@@ -29,7 +35,9 @@ std::uint64_t Json::as_uint() const noexcept {
   switch (kind_) {
     case Kind::kInt: return int_ < 0 ? 0 : static_cast<std::uint64_t>(int_);
     case Kind::kUint: return uint_;
-    case Kind::kDouble: return double_ < 0 ? 0 : static_cast<std::uint64_t>(double_);
+    case Kind::kDouble:
+      if (double_ >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
+      return double_ > 0 ? static_cast<std::uint64_t>(double_) : 0;  // NaN: 0
     default: return 0;
   }
 }
@@ -192,8 +200,16 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // The recursion below is one C++ frame chain per open container, so
+        // the nesting depth, not just the input length, must be bounded.
+        if (depth_ == Json::kMaxDepth) return std::nullopt;
+        ++depth_;
+        auto container = text_[pos_] == '{' ? object() : array();
+        --depth_;
+        return container;
+      }
       case '"': {
         auto s = string();
         if (!s) return std::nullopt;
@@ -331,6 +347,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers open around the current position
 };
 
 }  // namespace

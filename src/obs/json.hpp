@@ -50,9 +50,9 @@ class Json {
   }
   [[nodiscard]] bool is_string() const noexcept { return kind_ == Kind::kString; }
 
-  // Accessors (loose: numbers convert between representations; a non-match
-  // returns the zero value rather than throwing — reports are diagnostics,
-  // not control flow).
+  // Accessors (loose: numbers convert between representations, doubles to
+  // integers saturating at the type's range; a non-match returns the zero
+  // value rather than throwing — reports are diagnostics, not control flow).
   [[nodiscard]] bool as_bool() const noexcept { return kind_ == Kind::kBool && bool_; }
   [[nodiscard]] double as_double() const noexcept;
   [[nodiscard]] std::int64_t as_int() const noexcept;
@@ -78,7 +78,14 @@ class Json {
   // Serialization. indent == 0 emits one line; indent > 0 pretty-prints.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
-  // Parsing; std::nullopt on any syntax error or trailing garbage.
+  // The deepest container nesting parse() accepts. The parser recurses once
+  // per open container, so without a bound one line of 10^5 '[' would
+  // overflow the stack; every document this library writes nests at most 4
+  // levels.
+  static constexpr int kMaxDepth = 64;
+
+  // Parsing; std::nullopt on any syntax error, trailing garbage, or nesting
+  // deeper than kMaxDepth.
   static std::optional<Json> parse(std::string_view text);
 
   // Escapes `s` for embedding in a JSON string literal (quotes excluded).

@@ -7,8 +7,9 @@
 namespace srna::obs {
 
 std::size_t Counter::shard_index() noexcept {
-  // One stable shard per thread; hashing the thread id spreads OpenMP /
-  // std::thread pools across the 16 shards well enough to kill contention.
+  // One stable shard per thread, handed out round robin: spreads the serve
+  // pool's and the thread teams' workers across the 16 shards well enough
+  // to kill contention.
   static std::atomic<std::size_t> next{0};
   thread_local const std::size_t shard = next.fetch_add(1, std::memory_order_relaxed) % 16;
   return shard;

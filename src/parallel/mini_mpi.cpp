@@ -1,30 +1,27 @@
 #include "parallel/mini_mpi.hpp"
 
 #include <cstring>
-#include <exception>
-#include <thread>
 
+#include "parallel/team.hpp"
 #include "util/assert.hpp"
 
 namespace srna::mmpi {
 
-Runtime::Runtime(int size) : size_(size) {
+namespace {
+
+int checked_world_size(int size) {
   SRNA_REQUIRE(size >= 1, "world size must be at least 1");
+  return size;
+}
+
+}  // namespace
+
+Runtime::Runtime(int size) : size_(checked_world_size(size)), barrier_(size_) {
   slots_.assign(static_cast<std::size_t>(size), nullptr);
   mailboxes_.resize(static_cast<std::size_t>(size));
 }
 
-void Runtime::barrier() {
-  std::unique_lock lock(barrier_mutex_);
-  const std::uint64_t generation = barrier_generation_;
-  if (++barrier_arrived_ == size_) {
-    barrier_arrived_ = 0;
-    ++barrier_generation_;
-    barrier_cv_.notify_all();
-    return;
-  }
-  barrier_cv_.wait(lock, [&] { return barrier_generation_ != generation; });
-}
+void Runtime::barrier() { barrier_.arrive_and_wait(); }
 
 void Runtime::exchange(int rank, const void* contribution,
                        const std::function<void()>& consume_phase) {
@@ -98,26 +95,12 @@ std::vector<CommStats> run(int ranks, const std::function<void(Rank&)>& fn) {
   handles.reserve(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r) handles.push_back(Rank(runtime, r, ranks));
 
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(ranks));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        fn(handles[static_cast<std::size_t>(r)]);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // A failed rank must not leave peers stuck in a collective; with
-        // deterministic protocols an exception on one rank accompanies the
-        // same exception on all (e.g. a failed SRNA_CHECK), so simply
-        // returning is adequate for this library's use.
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  for (const auto& error : errors)
-    if (error) std::rethrow_exception(error);
+  // No team_size() clamp: every rank must run. A failed rank must not leave
+  // peers stuck in a collective; with deterministic protocols an exception
+  // on one rank accompanies the same exception on all (e.g. a failed
+  // SRNA_CHECK), so letting it end the rank is adequate for this library's
+  // use.
+  run_team(ranks, [&](std::size_t r) { fn(handles[r]); });
 
   std::vector<CommStats> stats;
   stats.reserve(handles.size());

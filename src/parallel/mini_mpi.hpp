@@ -5,16 +5,18 @@
 // rule — the library ships the substrate itself: a miniature rank-based
 // runtime with the collective PRNA needs (per-row Allreduce(MAX)), plus a
 // barrier, broadcast, gather and point-to-point send/recv for completeness.
-// Ranks are OS threads, but the *programming model* is distributed memory:
-// each rank owns private buffers and data moves only through the explicit
-// operations below, so prna_mpi() is a faithful transcription of the
-// paper's Algorithm 4 (replicated memo table, reduction per completed row)
-// rather than the shared-table shortcut of the OpenMP implementation.
+// Ranks are the threads of one team (parallel/team.hpp), but the
+// *programming model* is distributed memory: each rank owns private buffers
+// and data moves only through the explicit operations below, so prna_mpi()
+// is a faithful transcription of the paper's Algorithm 4 (replicated memo
+// table, reduction per completed row) rather than the shared-table shortcut
+// of the shared-memory PRNA.
 //
 // Communication volume is tracked per rank; the harness reports it next to
 // the simulator's alpha-beta model.
 #pragma once
 
+#include <barrier>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -95,8 +97,9 @@ class Rank {
   CommStats stats_;
 };
 
-// Runs `fn` on `ranks` ranks and blocks until all complete. Exceptions
-// thrown by any rank are rethrown (the first one) after all ranks join.
+// Runs `fn` on `ranks` ranks and blocks until all complete. Every rank gets
+// its own thread, inside another team too: a collective needs all of them.
+// The first exception a rank throws is rethrown after all ranks join.
 // Returns the per-rank communication statistics.
 std::vector<CommStats> run(int ranks, const std::function<void(Rank&)>& fn);
 
@@ -130,10 +133,7 @@ class Runtime {
 
   int size_;
 
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_arrived_ = 0;
-  std::uint64_t barrier_generation_ = 0;
+  std::barrier<> barrier_;
 
   std::vector<const void*> slots_;
 

@@ -1,8 +1,7 @@
 #include "parallel/prna.hpp"
 
-#include <omp.h>
-
 #include <atomic>
+#include <barrier>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -10,6 +9,7 @@
 
 #include "core/memo_table.hpp"
 #include "core/slice_tabulator.hpp"
+#include "parallel/team.hpp"
 #include "parallel/work_stealing.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -75,8 +75,6 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
   PrnaResult result;
   const bool validate = options.validate_memo;
   const bool stealing = options.schedule == PrnaSchedule::kStealing;
-  SRNA_REQUIRE(!options.use_std_threads || stealing,
-               "use_std_threads applies to the kStealing schedule only");
 
   // --- Preprocessing: arc index, column ownership, memo table. ---
   WallTimer phase;
@@ -90,9 +88,15 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
   MemoTable& memo =
       workspace.memo(s1.length(), s2.length(), validate ? MemoTable::kUnset : Score{0});
 
-  int threads = options.num_threads > 0 ? options.num_threads : omp_get_max_threads();
-  threads = std::max(threads, 1);
+  // The team this solve really gets (1 inside another team's worker): the
+  // column ownership below is built for exactly these workers.
+  const int threads = team_size(options.num_threads);
   result.threads_used = threads;
+  // Each worker's slice scratch is a bundle of the caller's workspace, so it
+  // persists across solves; worker 0 shares bundle 0 with stage two.
+  std::vector<SliceScratch*> worker_scratch(static_cast<std::size_t>(threads));
+  for (std::size_t t = 0; t < worker_scratch.size(); ++t)
+    worker_scratch[t] = &workspace.slice_scratch(t);
 
   std::vector<std::vector<std::size_t>> owned(static_cast<std::size_t>(threads));
   if (!stealing) {
@@ -115,7 +119,7 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
   phase.reset();
   obs::TraceScope stage1_span("prna", "stage1");
   // The caller's request-scoped trace context does not follow work onto
-  // pool threads (thread_local); capture it here and re-establish it on
+  // team threads (thread_local); capture it here and re-establish it on
   // each stage-one worker so their spans stay correlated with the request.
   const std::uint64_t trace_id = obs::trace_context::current();
   const char* schedule_name = stealing ? "stealing" : "static";
@@ -132,7 +136,7 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
   result.timeline.assign(static_cast<std::size_t>(threads), PrnaThreadTimeline{});
 
   // Row-granularity instrument handles, resolved once (registry lookups
-  // lock; the parallel region must not).
+  // lock; the workers must not).
   auto& metrics = obs::Registry::instance();
   obs::Histogram& row_busy_hist = metrics.histogram("prna.row_busy_seconds");
   obs::Histogram& barrier_wait_hist = metrics.histogram("prna.barrier_wait_seconds");
@@ -154,7 +158,8 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
 
   // First-failure capture: the winning thread stores its exception_ptr; the
   // others only flip the flag and drain the remaining barriers. Rethrown
-  // after the region so the caller sees the real error, not a generic check.
+  // after the team joins so the caller sees the real error, not a generic
+  // check.
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
@@ -164,7 +169,7 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
       if (first_error == nullptr) first_error = std::current_exception();
     }
     failed.store(true, std::memory_order_relaxed);
-    // Best-effort: the rethrow after the region is the authoritative report;
+    // Best-effort: the rethrow after the join is the authoritative report;
     // the log line ties the panic to its schedule and request in the stream.
     try {
       std::string what = "unknown";
@@ -225,7 +230,7 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
       obs::CounterScope lane_counters("prna.stage1");
       McosStats& local = thread_stats[tid];
       PrnaThreadTimeline& timeline = result.timeline[tid];
-      SliceScratch& scratch = Workspace::local().slice_scratch(0);
+      SliceScratch& scratch = *worker_scratch[tid];
       WorkStealingDeque& mine = queues[tid];
 
       auto run_slice = [&](std::uint32_t id) {
@@ -289,80 +294,67 @@ PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
       steal_idle_frac_hist.observe(timeline.steal_idle_fraction());
     };
 
-    if (options.use_std_threads) {
-      // TSan shim: plain std::thread workers (see PrnaOptions::use_std_threads).
-      std::vector<std::thread> shim;
-      shim.reserve(static_cast<std::size_t>(threads) - 1);
-      for (int t = 1; t < threads; ++t) shim.emplace_back(worker, static_cast<std::size_t>(t));
-      worker(0);
-      for (std::thread& t : shim) t.join();
-    } else {
-#pragma omp parallel num_threads(threads)
-      worker(static_cast<std::size_t>(omp_get_thread_num()));
-    }
-    rows_counter.add(idx1.size());
+    run_team(threads, worker);
   } else {
-#pragma omp parallel num_threads(threads)
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    const obs::TraceContextScope request_ctx(trace_id);
-    WallTimer lane_wall;
-    obs::CounterScope lane_counters("prna.stage1");
-    McosStats& local = thread_stats[tid];
-    PrnaThreadTimeline& timeline = result.timeline[tid];
-    // Worker slice scratch comes from the worker's own pooled workspace (a
-    // distinct buffer from the caller's memo, even when the master's pool IS
-    // the caller workspace); OpenMP threads persist across regions, so these
-    // buffers amortize across successive prna() calls too.
-    SliceScratch& scratch = Workspace::local().slice_scratch(0);
+    // One barrier per solve; every worker arrives once per row, even after a
+    // failure, so nobody is left waiting.
+    std::barrier row_barrier(threads);
+    run_team(threads, [&](std::size_t tid) {
+      const obs::TraceContextScope request_ctx(trace_id);
+      WallTimer lane_wall;
+      obs::CounterScope lane_counters("prna.stage1");
+      McosStats& local = thread_stats[tid];
+      PrnaThreadTimeline& timeline = result.timeline[tid];
+      SliceScratch& scratch = *worker_scratch[tid];
 
-    for (std::size_t a = 0; a < idx1.size(); ++a) {
-      // Busy phase: this worker's owned-column batch of the row. One span
-      // per row per thread.
-      WallTimer busy;
-      {
-        obs::TraceScope row_span("prna", "row");
-        if (row_span.active())
-          row_span.set_args(
-              obs::trace_args({{"row", static_cast<std::int64_t>(a)},
-                               {"owned", static_cast<std::int64_t>(owned[tid].size())}}));
-        if (!failed.load(std::memory_order_relaxed)) {
-          try {
-            const Pos i1 = idx1.arc(a).left + 1;
-            for (const std::size_t b : owned[tid]) {
-              if (options.stage1_hook) options.stage1_hook(a, b);
-              memo.set(i1, idx2.arc(b).left + 1, slices.child(a, b, scratch, d2_lookup, &local));
+      for (std::size_t a = 0; a < idx1.size(); ++a) {
+        // Busy phase: this worker's owned-column batch of the row. One span
+        // per row per thread.
+        WallTimer busy;
+        {
+          obs::TraceScope row_span("prna", "row");
+          if (row_span.active())
+            row_span.set_args(
+                obs::trace_args({{"row", static_cast<std::int64_t>(a)},
+                                 {"owned", static_cast<std::int64_t>(owned[tid].size())}}));
+          if (!failed.load(std::memory_order_relaxed)) {
+            try {
+              const Pos i1 = idx1.arc(a).left + 1;
+              for (const std::size_t b : owned[tid]) {
+                if (options.stage1_hook) options.stage1_hook(a, b);
+                memo.set(i1, idx2.arc(b).left + 1,
+                         slices.child(a, b, scratch, d2_lookup, &local));
+              }
+            } catch (...) {
+              capture_error();
             }
-          } catch (...) {
-            capture_error();
           }
         }
-      }
-      const double busy_s = busy.seconds();
-      timeline.busy_seconds += busy_s;
-      row_busy_hist.observe(busy_s);
+        const double busy_s = busy.seconds();
+        timeline.busy_seconds += busy_s;
+        row_busy_hist.observe(busy_s);
 
-      // Publish row arc1.left + 1 of M: the shared-memory stand-in for the
-      // paper's per-row MPI_Allreduce(MAX) over the replicated table. The
-      // time spent here is the load imbalance made visible.
-      WallTimer wait;
-      {
-        obs::TraceScope barrier_span("prna", "barrier_wait");
-#pragma omp barrier
+        // Publish row arc1.left + 1 of M: the shared-memory stand-in for the
+        // paper's per-row MPI_Allreduce(MAX) over the replicated table. The
+        // time spent here is the load imbalance made visible.
+        WallTimer wait;
+        {
+          obs::TraceScope barrier_span("prna", "barrier_wait");
+          row_barrier.arrive_and_wait();
+        }
+        const double wait_s = wait.seconds();
+        timeline.barrier_wait_seconds += wait_s;
+        barrier_wait_hist.observe(wait_s);
       }
-      const double wait_s = wait.seconds();
-      timeline.barrier_wait_seconds += wait_s;
-      barrier_wait_hist.observe(wait_s);
-    }
 
-    result.cells_per_thread[tid] = local.cells_tabulated;
-    timeline.cells = local.cells_tabulated;
-    timeline.slices = local.slices_tabulated;
-    timeline.wall_seconds = lane_wall.seconds();
-    lane_counters.close();
+      result.cells_per_thread[tid] = local.cells_tabulated;
+      timeline.cells = local.cells_tabulated;
+      timeline.slices = local.slices_tabulated;
+      timeline.wall_seconds = lane_wall.seconds();
+      lane_counters.close();
+    });
   }
   rows_counter.add(idx1.size());
-  }
 
   if (first_error != nullptr) {
     obs::Registry::instance().counter("prna.stage1_errors").add();

@@ -9,6 +9,12 @@
 // replicated table. Correctness rests on the same ordering fact as SRNA2:
 // d2 dependencies always point at rows completed in earlier iterations.
 //
+// Stage one runs on one thread team (parallel/team.hpp) under either
+// schedule, and the static schedule's row barrier is a std::barrier, so
+// ThreadSanitizer checks both schedules as shipped. Called from inside
+// another team's worker (a parallel database scan), a solve gets a team of
+// one and builds its column ownership for that one worker.
+//
 // The paper's 64-processor cluster runs are reproduced by the schedule
 // simulator in cluster_sim.hpp; this implementation provides real (and
 // tested) parallel execution on whatever cores exist.
@@ -41,7 +47,9 @@ namespace srna {
 enum class PrnaSchedule : std::uint8_t { kStaticColumns, kStealing };
 
 struct PrnaOptions {
-  // Worker threads; 0 = OpenMP default (typically the core count).
+  // Worker threads; 0 = the CPUs in the process's affinity mask. Inside
+  // another team's worker the solve runs on one thread whatever is asked
+  // (teams do not nest; see parallel/team.hpp).
   int num_threads = 0;
   BalanceStrategy balance = BalanceStrategy::kGreedyLpt;
   SliceLayout layout = SliceLayout::kDense;
@@ -49,15 +57,9 @@ struct PrnaOptions {
   // Verify the ordering guarantee (memo initialized to the unset sentinel,
   // every d2 lookup checked). Test-suite use.
   bool validate_memo = false;
-  // kStealing only: run stage one on plain std::thread workers instead of an
-  // OpenMP parallel region. ThreadSanitizer cannot see libgomp's internal
-  // synchronization (every OpenMP region is a false positive), so
-  // scripts/check_tsan.sh exercises the work-stealing scheduler through this
-  // shim.
-  bool use_std_threads = false;
   // Test-only fault injection: called before each stage-one slice with its
   // (row, column) arc indices; a throw from here exercises the parallel
-  // error path (first exception captured, rethrown after the region).
+  // error path (first exception captured, rethrown after the team joins).
   std::function<void(std::size_t a, std::size_t b)> stage1_hook;
 };
 
@@ -109,11 +111,12 @@ struct PrnaResult {
   [[nodiscard]] obs::Json to_json() const;
 };
 
-// The Workspace overload takes the memo table M and stage-two slice scratch
-// from `workspace`; each stage-one worker additionally pulls its private
-// slice scratch from its own pooled Workspace::local() (OpenMP threads
-// persist across regions, so worker buffers amortize across calls too). The
-// plain overload uses the calling thread's pooled workspace.
+// The Workspace overload takes the memo table M and every worker's slice
+// scratch from `workspace`: stage-one worker t tabulates in
+// slice_scratch(t), and worker 0 shares bundle 0 with stage two. The team's
+// threads are new on every call, so the scratch lives with the caller's
+// workspace and amortizes across calls there. The plain overload uses the
+// calling thread's pooled workspace.
 PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,
                 const PrnaOptions& options = {});
 PrnaResult prna(const SecondaryStructure& s1, const SecondaryStructure& s2,

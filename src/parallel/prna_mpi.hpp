@@ -1,7 +1,7 @@
 // PRNA over the mini-MPI substrate — a faithful transcription of the
 // paper's Algorithm 4 for a (simulated) distributed-memory machine.
 //
-// Unlike the OpenMP implementation (one shared memo table, a barrier per
+// Unlike the shared-memory PRNA (one shared memo table, a barrier per
 // row), this version gives every rank its own *replicated* memo table M and
 // synchronizes exactly as the paper prescribes: after all ranks finish a
 // row's owned child slices, MPI_Allreduce(MAX) over that row publishes the

@@ -15,8 +15,8 @@
 //
 // Elements are std::atomic so the racy buffer accesses the algorithm relies
 // on are data-race-free under the C++ memory model — which is also what
-// makes the scheduler TSan-clean (scripts/check_tsan.sh runs it under the
-// std::thread shim; see PrnaOptions::use_std_threads).
+// makes the scheduler TSan-clean (scripts/check_tsan.sh runs the PRNA suite,
+// whose stealing workers are an ordinary std::thread team).
 #pragma once
 
 #include <atomic>

@@ -1,5 +1,7 @@
 #include "serve/protocol.hpp"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace srna::serve {
@@ -22,6 +24,18 @@ double number_field(const obs::Json& doc, std::string_view key, double def) {
   if (v == nullptr) return def;
   if (!v->is_number()) bad_request("field '" + std::string(key) + "' must be a number");
   return v->as_double();
+}
+
+// An integer response field of type T. A number outside T's range is a
+// malformed response: casting it would be undefined behaviour.
+template <typename T>
+T integer_field(const obs::Json& doc, std::string_view key) {
+  const double v = number_field(doc, key, 0.0);
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);  // exclusive
+  const double lower = std::numeric_limits<T>::is_signed ? -limit : 0.0;
+  if (!(v >= lower && v < limit))
+    throw std::invalid_argument("bad response: field '" + std::string(key) + "' is out of range");
+  return static_cast<T>(v);
 }
 
 bool bool_field(const obs::Json& doc, std::string_view key) {
@@ -160,7 +174,7 @@ ServeResponse ServeResponse::from_line(std::string_view line) {
   if (!doc || !doc->is_object())
     throw std::invalid_argument("bad response: expected one JSON object per line");
   ServeResponse resp;
-  resp.id = static_cast<std::int64_t>(number_field(*doc, "id", 0));
+  resp.id = integer_field<std::int64_t>(*doc, "id");
   const std::string status = string_field(*doc, "status");
   if (status == "ok") {
     resp.status = ResponseStatus::kOk;
@@ -175,14 +189,13 @@ ServeResponse ServeResponse::from_line(std::string_view line) {
   } else {
     throw std::invalid_argument("bad response: unknown status '" + status + "'");
   }
-  resp.value = static_cast<Score>(number_field(*doc, "value", 0));
+  resp.value = integer_field<Score>(*doc, "value");
   resp.normalized = number_field(*doc, "normalized", 0.0);
   if (const obs::Json* v = doc->find("cache_hit")) resp.cache_hit = v->as_bool();
   if (const obs::Json* v = doc->find("coalesced")) resp.coalesced = v->as_bool();
   resp.latency_ms = number_field(*doc, "latency_ms", 0.0);
   resp.retry_after_ms = number_field(*doc, "retry_after_ms", 0.0);
-  resp.estimated_bytes =
-      static_cast<std::uint64_t>(number_field(*doc, "estimated_bytes", 0.0));
+  resp.estimated_bytes = integer_field<std::uint64_t>(*doc, "estimated_bytes");
   // Exact 64-bit read: router-minted trace ids do not survive a double.
   if (const obs::Json* v = doc->find("trace_id")) resp.trace_id = v->as_uint();
   resp.queued_ms = number_field(*doc, "queued_ms", 0.0);
@@ -190,7 +203,7 @@ ServeResponse ServeResponse::from_line(std::string_view line) {
   resp.algorithm = string_field(*doc, "algorithm");
   resp.digest = string_field(*doc, "digest");
   resp.error = string_field(*doc, "error");
-  resp.attempts = static_cast<std::uint32_t>(number_field(*doc, "attempts", 0.0));
+  resp.attempts = integer_field<std::uint32_t>(*doc, "attempts");
   resp.shard = string_field(*doc, "shard");
   resp.router_queued_ms = number_field(*doc, "router_queued_ms", 0.0);
   return resp;

@@ -37,9 +37,10 @@
 //               request, then joins. Exactly one response per accepted
 //               request, always.
 //
-// The pool is std::thread (not OpenMP) on purpose: every synchronization
-// primitive here is TSan-modeled, making serve the first subsystem with
-// end-to-end race coverage (scripts/check_tsan.sh runs the serve suite).
+// The pool is std::thread on purpose: every synchronization primitive here
+// is TSan-modeled, so scripts/check_tsan.sh runs the serve suite end to end
+// (as it does the parallel solvers, which start their workers on
+// std::thread teams too).
 //
 // Metrics (obs Registry): serve.requests, serve.responses_{ok,timeout,
 // rejected,error,over_memory}, serve.admission_rejects,

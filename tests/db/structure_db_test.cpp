@@ -106,15 +106,37 @@ TEST(AllPairs, MatrixIsSymmetricWithUnitDiagonal) {
   }
 }
 
-TEST(AllPairs, MatchesDirectSrna2) {
-  const auto d = demo_db();
+// Scan options that run each pair on `algorithm`. The parallel backends ask
+// for more workers than the two-worker scan leaves them, so a pair solve
+// nested in a scan worker must still tabulate every column: PRNA's static
+// schedule once built its column ownership for the four workers it asked
+// for and ran only worker 0's columns.
+SearchOptions scan_with(const std::string& algorithm) {
   SearchOptions opt;
   opt.metric = SimilarityMetric::kCommonArcs;
-  const auto m = all_pairs_similarity(d, opt);
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    for (std::size_t j = i + 1; j < d.size(); ++j) {
-      const Score direct = srna2(d.record(i).structure, d.record(j).structure).value;
-      EXPECT_DOUBLE_EQ(m(i, j), static_cast<double>(direct)) << i << "," << j;
+  opt.algorithm = algorithm;
+  if (algorithm == "prna-mpi-sim") {
+    opt.threads = 2;
+    opt.config.ranks = 3;
+  } else if (algorithm != "srna2") {
+    opt.threads = 2;
+    opt.config.threads = 4;
+  }
+  return opt;
+}
+
+const char* const kScanAlgorithms[] = {"srna2", "prna", "prna-steal", "prna-mpi-sim"};
+
+TEST(AllPairs, MatchesDirectSrna2) {
+  const auto d = demo_db();
+  for (const char* algorithm : kScanAlgorithms) {
+    const auto m = all_pairs_similarity(d, scan_with(algorithm));
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      for (std::size_t j = i + 1; j < d.size(); ++j) {
+        const Score direct = srna2(d.record(i).structure, d.record(j).structure).value;
+        EXPECT_DOUBLE_EQ(m(i, j), static_cast<double>(direct))
+            << algorithm << " " << i << "," << j;
+      }
     }
   }
 }
@@ -151,18 +173,35 @@ TEST(QueryTopK, KTruncates) {
 
 TEST(QueryTopK, RawMetricReportsCommonArcs) {
   const auto d = demo_db();
-  SearchOptions opt;
-  opt.metric = SimilarityMetric::kCommonArcs;
-  const auto hits = query_top_k(d, d.record(0).structure, 0, opt);
-  // Best hit: worst20 against itself = 10 common arcs.
-  EXPECT_EQ(hits[0].index, 0u);
-  EXPECT_EQ(hits[0].common_arcs, 10);
-  EXPECT_DOUBLE_EQ(hits[0].score, 10.0);
+  for (const char* algorithm : kScanAlgorithms) {
+    const auto hits = query_top_k(d, d.record(0).structure, 0, scan_with(algorithm));
+    // Best hit: worst20 against itself = 10 common arcs.
+    EXPECT_EQ(hits[0].index, 0u) << algorithm;
+    EXPECT_EQ(hits[0].common_arcs, 10) << algorithm;
+    EXPECT_DOUBLE_EQ(hits[0].score, 10.0) << algorithm;
+    // Every candidate carries srna2's value.
+    for (const QueryHit& hit : hits)
+      EXPECT_EQ(hit.common_arcs,
+                srna2(d.record(0).structure, d.record(hit.index).structure).value)
+          << algorithm << " candidate " << hit.index;
+  }
 }
 
 TEST(QueryTopK, RejectsKnottedQuery) {
   const auto knot = SecondaryStructure::from_arcs(4, {{0, 2}, {1, 3}});
   EXPECT_THROW(query_top_k(demo_db(), knot, 1), std::invalid_argument);
+}
+
+TEST(Scans, APairThatThrowsFailsTheScanAfterTheJoin) {
+  // SRNA1 under a one-slice spawn limit throws on any pair with nested arc
+  // matches; the scan must hand that error to its caller.
+  SearchOptions opt;
+  opt.algorithm = "srna1";
+  opt.config.spawn_limit = 1;
+  opt.threads = 2;
+  const auto d = demo_db();
+  EXPECT_THROW((void)all_pairs_similarity(d, opt), std::runtime_error);
+  EXPECT_THROW((void)query_top_k(d, d.record(0).structure, 1, opt), std::runtime_error);
 }
 
 TEST(QueryTopK, TieBreaksByIndex) {

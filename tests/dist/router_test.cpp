@@ -238,6 +238,91 @@ TEST(Router, ExactlyOneResponsePerRequestAcrossAShardKill) {
   router.stop();
 }
 
+TEST(Router, FailoversEqualTheFailedAttemptsOfItsRequests) {
+  // Every failed attempt is counted once, at the point where its request
+  // moves on: a send that fails on a dying link and the maintenance sweep of
+  // that link must not both count it. Traced requests report their attempts,
+  // so the router's own per-request records are the witness.
+  Shard s0("s0");
+  Shard s1("s1");
+  Router router(fast_probe_config({s0.address, s1.address}));
+  serve::TcpServer front(
+      [&router](const std::string& line, const serve::TcpServer::EmitLine& emit) {
+        router.handle_line(line, emit);
+      },
+      "127.0.0.1", 0);
+  LineClient client(Endpoint{"127.0.0.1", front.port()}, 15000);
+
+  const std::vector<std::string> pool = test_structures(8);
+  constexpr std::int64_t kFirstWave = 40;
+  constexpr std::int64_t kSecondWave = 20;
+  auto traced_line = [&pool](std::int64_t i) {
+    serve::ServeRequest req;
+    req.id = i;
+    req.a = pool[static_cast<std::size_t>(i) % pool.size()];
+    req.b = pool[static_cast<std::size_t>(i + 1) % pool.size()];
+    req.trace = true;
+    return req.to_line();
+  };
+  std::map<std::int64_t, serve::ServeResponse> responses;
+  auto collect = [&](std::size_t until) {
+    while (responses.size() < until) {
+      std::string line;
+      ASSERT_NO_THROW(line = client.receive()) << responses.size() << " of " << until;
+      const serve::ServeResponse resp = serve::ServeResponse::from_line(line);
+      ASSERT_TRUE(responses.emplace(resp.id, resp).second) << "duplicate id " << resp.id;
+    }
+  };
+
+  for (std::int64_t i = 0; i < kFirstWave; ++i) client.send(traced_line(i));
+  collect(10);
+  s0.kill();  // in-flight requests on s0 fail over to s1
+  collect(kFirstWave);
+  ASSERT_FALSE(HasFatalFailure());
+  for (std::int64_t i = kFirstWave; i < kFirstWave + kSecondWave; ++i)
+    client.send(traced_line(i));
+  collect(kFirstWave + kSecondWave);
+  ASSERT_FALSE(HasFatalFailure());
+
+  std::uint64_t failed_attempts = 0;
+  for (const auto& [id, resp] : responses) {
+    ASSERT_EQ(resp.status, serve::ResponseStatus::kOk) << "id " << id << ": " << resp.error;
+    ASSERT_GE(resp.attempts, 1u) << "id " << id;
+    failed_attempts += resp.attempts - 1;
+  }
+  const obs::Json stats = router.stats_json();
+  EXPECT_EQ(stats.find("router")->find("failovers")->as_uint(), failed_attempts);
+
+  front.stop();
+  router.stop();
+}
+
+TEST(Router, DeeplyNestedLineGetsOneErrorAndTheRouterKeepsServing) {
+  Shard shard("s0");
+  Router router(fast_probe_config({shard.address}));
+  serve::TcpServer front(
+      [&router](const std::string& line, const serve::TcpServer::EmitLine& emit) {
+        router.handle_line(line, emit);
+      },
+      "127.0.0.1", 0);
+  LineClient client(Endpoint{"127.0.0.1", front.port()}, 15000);
+
+  // Within the line cap; its nesting alone once overflowed the parser's
+  // stack and killed the router.
+  const serve::ServeResponse bad = serve::ServeResponse::from_line(
+      client.roundtrip(std::string(serve::kMaxLineBytes, '[')));
+  EXPECT_EQ(bad.status, serve::ResponseStatus::kError);
+  EXPECT_NE(bad.error.find("bad request"), std::string::npos) << bad.error;
+
+  const serve::ServeResponse ok =
+      serve::ServeResponse::from_line(client.roundtrip(request_line(3, "((..))", "(..)")));
+  EXPECT_EQ(ok.id, 3);
+  EXPECT_EQ(ok.status, serve::ResponseStatus::kOk) << ok.error;
+
+  front.stop();
+  router.stop();
+}
+
 TEST(Router, OverlongShardLineFailsOverLikeADeadLink) {
   Shard good("good");
   // Answers every request with a line one byte past the reader's cap. Its

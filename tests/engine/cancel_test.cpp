@@ -58,7 +58,7 @@ TEST(Cancellation, BackendsWithoutCancelSupportRejectTheConfig) {
   std::atomic<bool> cancel{false};
   SolverConfig config;
   config.cancel = &cancel;
-  // The OpenMP and reference backends do not poll the flag; validate() must
+  // The PRNA and reference backends do not poll the flag; validate() must
   // refuse rather than silently ignore a deadline.
   for (const char* name : {"prna", "topdown", "bottomup"}) {
     EXPECT_THROW((void)engine_solve(name, s, s, config), std::invalid_argument) << name;

@@ -5,8 +5,8 @@
 //
 // Implementations covered per instance:
 //   srna1 (dense, compressed, hash-map memo), srna2 (dense, compressed,
-//   validated-memo), PRNA-OpenMP (1 and 3 threads, static and dynamic
-//   schedule), PRNA-MPI (1 and 3 ranks),
+//   validated-memo), shared-memory PRNA (1 and 3 threads, static and
+//   stealing schedule), PRNA-MPI (1 and 3 ranks),
 //   checkpointed SRNA2 (interrupted and resumed), traceback witness size,
 //   witness enumeration value, weighted similarity at unit scoring.
 #include <gtest/gtest.h>

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
+
+#include "testing/json_fuzz.hpp"
+#include "util/prng.hpp"
 
 namespace srna::obs {
 namespace {
@@ -113,6 +118,84 @@ TEST(Json, FindOnMissingKeyIsNull) {
   EXPECT_EQ(obj.find("absent"), nullptr);
   EXPECT_TRUE(obj.contains("present"));
   EXPECT_FALSE(obj.contains("absent"));
+}
+
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(Json, ParseAcceptsNestingUpToTheLimitAndNoDeeper) {
+  EXPECT_TRUE(Json::parse(nested_arrays(Json::kMaxDepth)).has_value());
+  EXPECT_FALSE(Json::parse(nested_arrays(Json::kMaxDepth + 1)).has_value());
+  // Objects count toward the same depth as arrays.
+  std::string objects;
+  for (int d = 0; d < Json::kMaxDepth; ++d) objects += "{\"k\":";
+  const std::string closed = objects + "1" + std::string(Json::kMaxDepth, '}');
+  EXPECT_TRUE(Json::parse(closed).has_value());
+  EXPECT_FALSE(Json::parse("[" + closed + "]").has_value());
+  // Depth, not count: many shallow containers stay fine.
+  std::string wide = "[";
+  for (int i = 0; i < 1000; ++i) wide += i == 0 ? "[[]]" : ",[[]]";
+  EXPECT_TRUE(Json::parse(wide + "]").has_value());
+}
+
+TEST(Json, ParseRejectsAMegabyteOfOpenBracketsQuickly) {
+  const std::string line(std::size_t{1} << 20, '[');
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(Json::parse(line).has_value());
+  const auto took = std::chrono::steady_clock::now() - start;
+  // The parser stops at depth kMaxDepth + 1, long before the end of the line.
+  EXPECT_LT(took, std::chrono::milliseconds(100));
+}
+
+// Fuzz-lite (tests/testing/json_fuzz.hpp): parse() must never crash, and
+// anything it accepts must survive dump() -> parse() unchanged.
+bool accepts_and_round_trips(std::string_view input) {
+  const auto doc = Json::parse(input);
+  if (!doc) return false;
+  const std::string once = doc->dump();
+  const auto again = Json::parse(once);
+  EXPECT_TRUE(again.has_value()) << input;
+  if (again) EXPECT_EQ(again->dump(), once) << input;
+  return true;
+}
+
+TEST(JsonFuzz, ArbitraryBytesNeverCrash) {
+  Xoshiro256 rng(11);
+  for (int i = 0; i < 3000; ++i) (void)accepts_and_round_trips(testing::random_bytes(rng, 96));
+}
+
+TEST(JsonFuzz, JsonAlphabetSoupRoundTripsWhenAccepted) {
+  Xoshiro256 rng(12);
+  int accepted = 0;
+  for (int i = 0; i < 5000; ++i)
+    accepted += accepts_and_round_trips(testing::random_json_soup(rng, 48)) ? 1 : 0;
+  EXPECT_GT(accepted, 0);
+}
+
+TEST(JsonFuzz, DamagedDocumentsRoundTripWhenAccepted) {
+  // Grammar-drawn documents, about half damaged by a few edits, some wrapped
+  // in enough arrays to reach past the depth limit.
+  Xoshiro256 rng(13);
+  constexpr std::string_view kKeys[] = {"k", "id", "a", "\\u00e9", ""};
+  constexpr std::string_view kScalars[] = {
+      "0", "-7", "2.5e-3", "18446744073709551615", "-9223372036854775808", "1e300", "true",
+      "false", "null", "\"text\"", "\"\\u00e9\\n\\\"\""};
+  int accepted = 0;
+  int limit_hits = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const int wrap = rng.uniform(8) == 0 ? static_cast<int>(rng.uniform(Json::kMaxDepth + 2)) : 0;
+    std::string input = std::string(static_cast<std::size_t>(wrap), '[') +
+                        testing::random_document(rng, 4, kKeys, kScalars) +
+                        std::string(static_cast<std::size_t>(wrap), ']');
+    if (rng.uniform(2) == 0) input = testing::damage(rng, std::move(input));
+    const bool ok = accepts_and_round_trips(input);
+    accepted += ok ? 1 : 0;
+    limit_hits += !ok && wrap >= Json::kMaxDepth - 4 ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 2000);
+  EXPECT_GT(limit_hits, 0);
 }
 
 }  // namespace

@@ -89,10 +89,6 @@ TEST_F(DisabledCountersTest, SolveAndExpositionStayWellFormedWithoutCounters) {
   PrnaOptions options;
   options.num_threads = 2;
   options.schedule = PrnaSchedule::kStealing;
-  // obs_tests is tsan-labelled; the OpenMP dispatch is excluded from TSan by
-  // policy (libgomp barriers are uninstrumented — scripts/check_tsan.sh), so
-  // this solve runs on the TSan-modeled std::thread shim.
-  options.use_std_threads = true;
   const PrnaResult result = prna(s, s, options);
   EXPECT_EQ(result.value, 16);
 

@@ -67,14 +67,14 @@ TEST(PrnaMpi, AgreesWithSharedMemoryPrna) {
   const auto s2 = rrna_like_structure(210, 38, 8);
   PrnaMpiOptions mpi_opt;
   mpi_opt.ranks = 3;
-  PrnaOptions omp_opt;
-  omp_opt.num_threads = 3;
+  PrnaOptions shared_opt;
+  shared_opt.num_threads = 3;
   const auto via_mpi = prna_mpi(s1, s2, mpi_opt);
-  const auto via_omp = prna(s1, s2, omp_opt);
-  EXPECT_EQ(via_mpi.value, via_omp.value);
-  EXPECT_EQ(via_mpi.stats.cells_tabulated, via_omp.stats.cells_tabulated);
+  const auto via_shared = prna(s1, s2, shared_opt);
+  EXPECT_EQ(via_mpi.value, via_shared.value);
+  EXPECT_EQ(via_mpi.stats.cells_tabulated, via_shared.stats.cells_tabulated);
   // Identical deterministic preprocessing -> identical ownership plans.
-  EXPECT_EQ(via_mpi.assignment.owner, via_omp.assignment.owner);
+  EXPECT_EQ(via_mpi.assignment.owner, via_shared.assignment.owner);
 }
 
 TEST(PrnaMpi, CellAccountingMatchesSequential) {

@@ -281,17 +281,9 @@ TEST(PrnaStealing, ExceptionPropagatesToCaller) {
   }
 }
 
-TEST(PrnaStealing, UseStdThreadsRequiresStealingSchedule) {
-  const auto s = db("(.)");
-  PrnaOptions opt;
-  opt.use_std_threads = true;  // schedule left at kStaticColumns
-  EXPECT_THROW(prna(s, s, opt), std::invalid_argument);
-}
-
-// PrnaStealingShim.* runs the scheduler on plain std::thread workers — the
-// suite scripts/check_tsan.sh selects by name, since ThreadSanitizer cannot
-// model libgomp's synchronization but checks the Chase-Lev deque and the
-// dependency counters fully through this path.
+// PrnaStealingShim.* keeps the stealing scheduler's validated-memo and
+// oversubscription cases together; under scripts/check_tsan.sh they check the
+// Chase-Lev deques and the dependency counters on the shipped thread team.
 TEST(PrnaStealingShim, MatchesSequentialUnderStdThreads) {
   // Both layouts: the workers share one read-only slice entry point.
   for (const auto layout : {SliceLayout::kDense, SliceLayout::kCompressed}) {
@@ -303,7 +295,6 @@ TEST(PrnaStealingShim, MatchesSequentialUnderStdThreads) {
         opt.num_threads = threads;
         opt.layout = layout;
         opt.schedule = PrnaSchedule::kStealing;
-        opt.use_std_threads = true;
         opt.validate_memo = true;
         EXPECT_EQ(prna(s1, s2, opt).value, srna2(s1, s2).value)
             << "threads=" << threads << " seed=" << seed;
@@ -317,7 +308,6 @@ TEST(PrnaStealingShim, WorstCaseOversubscribed) {
   PrnaOptions opt;
   opt.num_threads = 8;
   opt.schedule = PrnaSchedule::kStealing;
-  opt.use_std_threads = true;
   opt.validate_memo = true;
   EXPECT_EQ(prna(s, s, opt).value, 35);
 }
@@ -327,7 +317,6 @@ TEST(PrnaStealingShim, ExceptionPropagatesUnderStdThreads) {
   PrnaOptions opt;
   opt.num_threads = 4;
   opt.schedule = PrnaSchedule::kStealing;
-  opt.use_std_threads = true;
   opt.stage1_hook = [](std::size_t a, std::size_t b) {
     if ((a + b) % 3 == 0) throw std::runtime_error("injected shim fault");
   };
@@ -336,9 +325,9 @@ TEST(PrnaStealingShim, ExceptionPropagatesUnderStdThreads) {
 
 TEST(Prna, StageOneWorkersInheritTheCallersTraceContext) {
   // Serve stamps a request-scoped trace id on the submitting thread;
-  // stage-one workers are OpenMP (or std::thread) workers that do NOT
-  // inherit thread_local state, so prna() re-establishes the context in the
-  // parallel region. Every row/barrier span must carry the caller's id.
+  // stage-one workers are team threads that do NOT inherit thread_local
+  // state, so prna() re-establishes the context on each worker. Every
+  // row/barrier span must carry the caller's id.
   obs::Tracer::instance().disable();
   obs::Tracer::instance().clear();
   obs::Tracer::instance().enable();

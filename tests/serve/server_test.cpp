@@ -183,6 +183,30 @@ TEST(TcpServer, OverlongLineGetsOneErrorThenEof) {
   service.drain();
 }
 
+TEST(TcpServer, DeeplyNestedLineGetsOneErrorAndTheConnectionKeepsServing) {
+  // A line within the length cap whose nesting alone once overflowed the
+  // parser's stack and killed the process.
+  QueryService service({});
+  TcpServer server(service, "127.0.0.1", 0);
+  TestClient client(server.port());
+  client.send_raw(std::string(kMaxLineBytes, '[') + "\n");
+  const ServeResponse bad = ServeResponse::from_line(client.read_line());
+  EXPECT_EQ(bad.status, ResponseStatus::kError);
+  EXPECT_NE(bad.error.find("bad request"), std::string::npos) << bad.error;
+
+  ServeRequest req;
+  req.id = 9;
+  req.a = "((..))";
+  req.b = "(..)";
+  client.send_line(req.to_line());
+  const ServeResponse ok = ServeResponse::from_line(client.read_line());
+  EXPECT_EQ(ok.id, 9);
+  EXPECT_EQ(ok.status, ResponseStatus::kOk);
+
+  server.stop();
+  service.drain();
+}
+
 TEST(TcpServer, MultipleConnectionsAreIndependent) {
   QueryService service({});
   TcpServer server(service, "127.0.0.1", 0);
